@@ -165,26 +165,26 @@ class DecodeResult:
     decision_erased: np.ndarray
 
 
-class _UniformStream:
-    """Pre-drawn per-frame uniforms consumed in the decoder's fixed schedule."""
+class _HitStream:
+    """Pre-drawn per-frame fault hits consumed in the decoder's fixed schedule."""
 
-    __slots__ = ("table", "pos")
+    __slots__ = ("hits", "pos")
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
+    def __init__(self, hits: np.ndarray):
+        self.hits = hits
         self.pos = 0
 
     def take(self, width: int) -> np.ndarray:
         end = self.pos + width
-        if end > self.table.shape[1]:
-            raise InternalInvariantError("fault uniform stream overrun")
-        block = self.table[:, self.pos:end]
+        if end > self.hits.shape[1]:
+            raise InternalInvariantError("fault hit stream overrun")
+        block = self.hits[:, self.pos:end]
         self.pos = end
         return block
 
 
 def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
-    """Uniform draws one decode consumes per frame for fault injection."""
+    """Fault draws one decode consumes per frame."""
     ueff = fault.effective_steps(n)
     if fault.delta == 0 or ueff == 0:
         return 0
@@ -197,20 +197,22 @@ def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
 
 def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                   mode: str, genie: bool, true_u: np.ndarray | None,
-                  fault_uniforms: np.ndarray | None):
+                  fault_hits: np.ndarray | None):
     """Decode a (B, N) batch of frames; returns (u_hat, decision_erased).
 
-    The message schedule is fixed and data-independent, so two runs seeing
-    the same per-frame uniform rows produce identical results no matter how
-    frames are grouped into batches.
+    fault_hits is a (B, fault_slot_count) bool array holding, for each
+    frame, its fault uniforms already turned into hits (uniform < delta).
+    Each computed message takes the next hit in the fixed schedule and is
+    erased where it is set. The schedule is data-independent, so two runs
+    seeing the same per-frame hit rows produce identical results no matter
+    how frames are grouped into batches.
     """
     batch, size = y.shape
     n = size.bit_length() - 1
-    delta = fault.delta
     faulty_min_level = n - fault.effective_steps(n)
     stream = None
-    if fault_uniforms is not None and fault_slot_count(n, fault, mode) > 0:
-        stream = _UniformStream(fault_uniforms)
+    if fault_hits is not None and fault_slot_count(n, fault, mode) > 0:
+        stream = _HitStream(fault_hits)
 
     u_hat = np.empty((batch, size), dtype=np.int8)
     decision_erased = np.empty((batch, size), dtype=bool)
@@ -230,8 +232,8 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
         else:
             out = left * right
         if stream is not None and level >= faulty_min_level:
-            draws = stream.take(1 << level)
-            out = np.where((out != 0) & (draws < delta), np.int8(0), out)
+            # an erased message stays erased, so erasing every hit is exact
+            out = np.where(stream.take(1 << level), np.int8(0), out)
         return out
 
     for i0 in range(size):
@@ -294,8 +296,8 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                 bits[level][:, base + half:base + 2 * half] = right
                 level += 1
 
-    if stream is not None and stream.pos != stream.table.shape[1]:
-        raise InternalInvariantError("fault uniform stream not fully consumed")
+    if stream is not None and stream.pos != stream.hits.shape[1]:
+        raise InternalInvariantError("fault hit stream not fully consumed")
     return u_hat, decision_erased
 
 
@@ -337,14 +339,14 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
             raise ValueError("genie decoding requires the true input word")
         true_arr = _as_bit_array(true_u, "true_u").reshape(1, code.N)
     slots = fault_slot_count(code.n, fault, mode)
-    table = None
+    hits = None
     if slots:
         if rng is None:
             raise ValueError("an rng is required when fault injection is active")
-        table = rng.random((1, slots))
+        hits = rng.random((1, slots)) < fault.delta
     u_hat_full, erased_full = _decode_batch(
         y_arr.reshape(1, code.N), code.frozen_mask, fault, mode, genie,
-        true_arr, table,
+        true_arr, hits,
     )
     info0 = code.info_indices - 1
     u_hat = u_hat_full[0, info0]

@@ -4,6 +4,12 @@ Every trial owns three Philox substreams keyed by (master_seed, trial,
 role) with role 0 = source word, 1 = channel erasures, 2 = decoder faults.
 The counter-based derivation makes each stream independent of batching and
 thread count, so a SimConfig pins the outcome bit for bit.
+
+A chunk of trials builds one generator per role and, before each trial,
+rewinds it to that trial's counter; because Philox is counter-based this
+yields exactly the stream a freshly built generator would. Channel and
+fault uniforms are drawn in fixed-size blocks and kept only as boolean
+erasure masks (uniform < p, uniform < delta), one byte per draw.
 """
 
 from __future__ import annotations
@@ -26,15 +32,59 @@ ROLE_FAULTS = 2
 
 TRIALS_HARD_CAP = 10**7
 WORK_BUDGET = 2**32  # trials * N ceiling
+TRIAL_BYTES_CEILING = 256 * 2**20  # memory one trial of a chunk may allocate
 
-_FAULT_TABLE_BYTES = 64 * 2**20
+_CHUNK_BYTES = 64 * 2**20
 _MAX_CHUNK = 20_000
+_DRAW_BLOCK = 8192  # float64 uniforms per draw call
 
 
 def substream(master_seed: int, trial: int, role: int) -> np.random.Generator:
     """Counter-based random stream for one (trial, role) pair."""
     bitgen = np.random.Philox(key=master_seed, counter=[0, trial, role, 0])
     return np.random.Generator(bitgen)
+
+
+def _substream_state(master_seed: int, trial: int, role: int) -> dict:
+    """Philox state at the start of the (trial, role) substream.
+
+    Assigned to the bit_generator.state of any Philox generator, it yields
+    exactly the stream substream(master_seed, trial, role) starts.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, trial, role, 0], dtype=np.uint64),
+                  "key": np.array([master_seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _draw_mask(gen: np.random.Generator, threshold: float, out: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Fill the bool row `out` with uniform < threshold, drawn in blocks.
+
+    Consecutive draws continue one stream, so the block size does not
+    change the values.
+    """
+    width = out.shape[0]
+    for pos in range(0, width, scratch.size):
+        m = min(scratch.size, width - pos)
+        np.less(gen.random(m, out=scratch[:m]), threshold, out=out[pos:pos + m])
+
+
+def _trial_bytes(n: int, slots: int, mode: str) -> int:
+    """Bytes one trial adds to a chunk's allocations.
+
+    One byte per fault slot for its fault-hit row, plus the (B, N) int8 and
+    bool planes alive together: u, erased, x, 1 - 2x and y in _run_chunk;
+    u_hat, decision_erased, the partial-sum plane per level and, in shared
+    mode, the message plane per level in _decode_batch.
+    """
+    planes = 7 + max(n, 1) + (n if mode == SHARED else 0)
+    return slots + planes * (1 << n)
 
 
 @dataclass(frozen=True)
@@ -116,21 +166,31 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     batch = stop - start
     info0 = code.info_indices - 1
     k = info0.size
+    seed = config.master_seed
+
+    roles = (ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
+    gens = [substream(seed, start, role) for role in roles]
+    bitgens = [gen.bit_generator for gen in gens]
+    states = [_substream_state(seed, start, role) for role in roles]
+    source, channel, faults = gens
 
     u = np.zeros((batch, size), dtype=np.int8)
-    chan = np.empty((batch, size), dtype=np.float64)
-    table = np.empty((batch, slots), dtype=np.float64) if slots else None
+    erased = np.empty((batch, size), dtype=bool)
+    hits = np.empty((batch, slots), dtype=bool) if slots else None
+    scratch = np.empty(_DRAW_BLOCK, dtype=np.float64)
     for row, trial in enumerate(range(start, stop)):
-        u[row, info0] = substream(config.master_seed, trial, ROLE_SOURCE).integers(
-            0, 2, size=k, dtype=np.int8)
-        chan[row] = substream(config.master_seed, trial, ROLE_CHANNEL).random(size)
+        for bitgen, state in zip(bitgens, states):
+            state["state"]["counter"][1] = trial
+            bitgen.state = state
+        u[row, info0] = source.integers(0, 2, size=k, dtype=np.int8)
+        _draw_mask(channel, config.channel_erasure, erased[row], scratch)
         if slots:
-            table[row] = substream(config.master_seed, trial, ROLE_FAULTS).random(slots)
+            _draw_mask(faults, config.fault.delta, hits[row], scratch)
 
     x = encode(u)
-    y = np.where(chan < config.channel_erasure, np.int8(0), (1 - 2 * x).astype(np.int8))
+    y = np.where(erased, np.int8(0), (1 - 2 * x).astype(np.int8))
     u_hat, decision_erased = _decode_batch(
-        y, code.frozen_mask, config.fault, config.mode, config.genie, u, table)
+        y, code.frozen_mask, config.fault, config.mode, config.genie, u, hits)
 
     erased_info = u_hat[:, info0] == ERASED_BIT
     frame_erasures = int(erased_info.any(axis=1).sum())
@@ -158,15 +218,20 @@ def run_simulation(config: SimConfig, threads: int = 1,
         raise ValueError("threads must be >= 1")
 
     slots = fault_slot_count(code.n, config.fault, config.mode)
+    per_trial = _trial_bytes(code.n, slots, config.mode)
+    if per_trial > TRIAL_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
+            f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        chunk_size = _MAX_CHUNK
-        if slots:
-            chunk_size = min(chunk_size, max(1, _FAULT_TABLE_BYTES // (8 * slots)))
+        chunk_size = min(_MAX_CHUNK, max(1, _CHUNK_BYTES // per_trial))
     chunk_size = max(1, min(chunk_size, config.trials))
     bounds = [(s, min(s + chunk_size, config.trials))
               for s in range(0, config.trials, chunk_size)]
 
-    if threads == 1 or len(bounds) == 1:
+    # each chunk builds its own generators, so chunks may run on any thread
+    threads = min(threads, len(bounds))
+    if threads == 1:
         results = [_run_chunk(config, s, e, slots) for s, e in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

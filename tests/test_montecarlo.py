@@ -14,7 +14,21 @@ from faultypolar import (
     construct_code,
     run_simulation,
 )
-from faultypolar.montecarlo import ROLE_CHANNEL, ROLE_FAULTS, ROLE_SOURCE, substream
+from faultypolar import cli, montecarlo
+from faultypolar.codec import fault_slot_count
+from faultypolar.montecarlo import (
+    ROLE_CHANNEL,
+    ROLE_FAULTS,
+    ROLE_SOURCE,
+    TRIAL_BYTES_CEILING,
+    TRIALS_HARD_CAP,
+    _draw_mask,
+    _substream_state,
+    _trial_bytes,
+    substream,
+)
+
+ROLES = (ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
 
 
 def _config(n=6, k=16, p=0.5, delta=0.0, trials=200, seed=0, mode=None, genie=False,
@@ -155,3 +169,125 @@ def test_genie_per_bit_counts_present_only_in_genie_mode():
     outcome = run_simulation(_config(trials=50, genie=True))
     assert outcome.per_bit_erasures is not None
     assert outcome.per_bit_erasures.shape == (64,)
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("trial", [0, 1, TRIALS_HARD_CAP - 1])
+def test_rewound_generator_matches_fresh_substream(master_seed, trial):
+    for role in ROLES:
+        gen = substream(12345, 6, ROLE_FAULTS)
+        gen.random(2)
+        gen.integers(0, 2**32, dtype=np.uint32)
+        state = gen.bit_generator.state
+        assert state["buffer_pos"] != 4 and state["has_uint32"] == 1  # mid-stream
+
+        gen.bit_generator.state = _substream_state(master_seed, trial, role)
+        assert np.array_equal(gen.random(37), substream(master_seed, trial, role).random(37))
+        gen.bit_generator.state = _substream_state(master_seed, trial, role)
+        fresh = substream(master_seed, trial, role)
+        assert np.array_equal(gen.integers(0, 2, size=29, dtype=np.int8),
+                              fresh.integers(0, 2, size=29, dtype=np.int8))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_mask_drawn_in_blocks_equals_one_call(block):
+    width = 1000
+    out = np.empty(width, dtype=bool)
+    _draw_mask(substream(3, 8, ROLE_CHANNEL), 0.3, out, np.empty(block))
+    assert np.array_equal(out, substream(3, 8, ROLE_CHANNEL).random(width) < 0.3)
+
+
+def test_fault_row_longer_than_draw_block(monkeypatch):
+    # n = 7 in independent-tree mode: 128 * 127 fault slots per trial, more
+    # than one draw block; the hit rows must match fresh one-call draws
+    config = _config(n=7, k=32, p=0.4, delta=0.05, trials=3, seed=2**64 - 1,
+                     mode="independent_tree", genie=True)
+    slots = fault_slot_count(7, config.fault, config.mode)
+    assert slots > montecarlo._DRAW_BLOCK
+    seen = []
+    decode = montecarlo._decode_batch
+
+    def capture(*args):
+        seen.append(args[-1].copy())
+        return decode(*args)
+
+    monkeypatch.setattr(montecarlo, "_decode_batch", capture)
+    run_simulation(config)
+    expected = [substream(2**64 - 1, t, ROLE_FAULTS).random(slots) < 0.05 for t in range(3)]
+    assert np.array_equal(seen[0], np.array(expected))
+
+
+def test_outcome_independent_of_draw_block(monkeypatch):
+    config = _config(n=5, k=12, p=0.4, delta=0.05, trials=120, seed=9,
+                     mode="independent_tree", genie=True)
+    base = run_simulation(config)
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 5)
+    small = run_simulation(config, chunk_size=17)
+    assert small.frame_erasures == base.frame_erasures
+    assert small.info_bit_erasures == base.info_bit_erasures
+    assert np.array_equal(small.per_bit_erasures, base.per_bit_erasures)
+
+
+def _refuse_chunks(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("_run_chunk called for an over-budget trial")
+    monkeypatch.setattr(montecarlo, "_run_chunk", fail)
+
+
+def test_trial_memory_ceiling_refused_before_allocating(monkeypatch):
+    # one independent-tree trial at n = 16 has 2**16 * (2**16 - 1) fault slots
+    _refuse_chunks(monkeypatch)
+    config = _config(n=16, k=2**14, delta=1e-3, trials=1, mode="independent_tree")
+    with pytest.raises(ResourceLimitError):
+        run_simulation(config)
+
+
+def test_cli_trial_memory_ceiling_exits_3(monkeypatch, tmp_path):
+    _refuse_chunks(monkeypatch)
+    rc = cli.main(["simulate", "--n", "16", "--p", "0.5", "--delta", "1e-3",
+                   "--rate", "0.25", "--mode", "independent-tree", "--trials", "1",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_simulation", out_of_memory)
+    rc = cli.main(["simulate", "--n", "4", "--p", "0.5", "--delta", "0",
+                   "--rate", "0.5", "--trials", "10", "--out-dir", str(tmp_path)])
+    assert rc == 3
+
+
+def test_trial_bytes_admit_the_documented_sizes():
+    # one byte per fault slot plus the int8/bool (B, N) planes
+    tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
+    shared = FaultSpec(delta=1e-3, correlation_mode="shared")
+    slots = fault_slot_count(8, tree, "independent_tree")
+    assert _trial_bytes(8, slots, "independent_tree") == slots + (7 + 8) * 256
+    assert _trial_bytes(10, 10 * 1024, "shared") == 10 * 1024 + (7 + 20) * 1024
+    for n in range(1, 14):
+        slots = fault_slot_count(n, tree, "independent_tree")
+        assert _trial_bytes(n, slots, "independent_tree") <= TRIAL_BYTES_CEILING
+    for n in range(1, 22):
+        slots = fault_slot_count(n, shared, "shared")
+        assert _trial_bytes(n, slots, "shared") <= TRIAL_BYTES_CEILING
+    slots = fault_slot_count(14, tree, "independent_tree")
+    assert _trial_bytes(14, slots, "independent_tree") > TRIAL_BYTES_CEILING
+
+
+def test_thread_pool_capped_at_chunk_count(monkeypatch):
+    workers = []
+    pool_class = montecarlo.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+    config = _config(p=0.5, delta=1e-2, trials=100, seed=4)
+    base = run_simulation(config)
+    assert run_simulation(config, threads=8, chunk_size=50) == base
+    assert run_simulation(config, threads=4) == base  # one chunk: no pool
+    assert workers == [2]

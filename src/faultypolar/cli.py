@@ -99,7 +99,8 @@ def _fault_from_args(args, n: int, mode: str = INDEPENDENT_TREE) -> FaultSpec:
 
 def _manifest_base(args, command: str) -> dict:
     entries = {"command": command, "version": __version__}
-    skip = {"func", "out_dir", "manifest_only", "command", "sweep_command"}
+    # the manifest pins what sets the output; threads changes none of it
+    skip = {"func", "out_dir", "manifest_only", "command", "sweep_command", "threads"}
     for key in sorted(vars(args)):
         if key in skip:
             continue

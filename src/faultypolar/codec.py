@@ -11,6 +11,12 @@ never fault-injected. Protection applies to whole tree levels counted from
 the root: with n_u unprotected transitions, the messages produced at tree
 levels 1..min(n_u, n) (leaf side) receive faults and the levels above do
 not, matching the construction module's evolution.
+
+The public node functions work on the {-1, 0, +1} values. The batched
+decoder behind sc_decode and the simulations computes the same updates
+bitsliced: each message is an erased bit and a sign bit, packed eight
+frames to a byte in positions-major (N, ceil(B/8)) planes, so a node update
+is a few bitwise operations on contiguous rows (see _decode_batch).
 """
 
 from __future__ import annotations
@@ -165,8 +171,52 @@ class DecodeResult:
     decision_erased: np.ndarray
 
 
+_PACK_BYTES = 1 << 16  # scratch bytes per buffer while packing
+
+
+def _pack_frames(cells: np.ndarray) -> np.ndarray:
+    """Pack a (B, W) array of 0/1 cells into (W, ceil(B/8)) uint8 bit planes.
+
+    Bit k of byte j in row w is cells[8j + k, w]; pad bits are 0. The work
+    runs in blocks through two scratch buffers of _PACK_BYTES each, so no
+    temporary of the input's size appears. Eight cells of a row share one
+    uint64 word when the rows are contiguous and W is a multiple of 8;
+    shifting a 0/1 cell by fewer than 8 bits never leaves its byte, so the
+    loop treats uint64 and single-cell uint8 words alike.
+    """
+    batch, width = cells.shape
+    nbytes = -(-batch // 8)
+    out = np.empty((width, nbytes), dtype=np.uint8)
+    wide = cells.flags.c_contiguous and width % 8 == 0
+    words = cells.view(np.uint64 if wide else np.uint8)
+    itemsize, nwords = words.itemsize, words.shape[1]
+    wc = max(1, min(nwords, _PACK_BYTES // itemsize))  # words per block
+    fb = max(1, _PACK_BYTES // itemsize // wc)  # frame bytes per block
+    acc = np.empty(fb * wc, dtype=words.dtype)
+    tmp = np.empty_like(acc)
+    for f0 in range(0, nbytes, fb):
+        fbn = min(fb, nbytes - f0)
+        for w0 in range(0, nwords, wc):
+            wcn = min(wc, nwords - w0)
+            a = acc[:fbn * wcn].reshape(fbn, wcn)
+            t = tmp[:fbn * wcn].reshape(fbn, wcn)
+            a.fill(0)
+            for k in range(8):
+                rows = words[8 * f0 + k:8 * (f0 + fbn):8, w0:w0 + wcn]
+                r = rows.shape[0]
+                np.left_shift(rows, k, out=t[:r])
+                np.bitwise_or(a[:r], t[:r], out=a[:r])
+            out[w0 * itemsize:(w0 + wcn) * itemsize, f0:f0 + fbn] = a.view(np.uint8).T
+    return out
+
+
+def _unpack_frames(planes: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of _pack_frames: (W, nbytes) planes to (batch, W) uint8 0/1 cells."""
+    return np.unpackbits(planes.T, axis=0, count=batch, bitorder="little")
+
+
 class _HitStream:
-    """Pre-drawn per-frame fault hits consumed in the decoder's fixed schedule."""
+    """Packed per-frame fault hits consumed in the decoder's fixed schedule."""
 
     __slots__ = ("hits", "pos")
 
@@ -176,9 +226,9 @@ class _HitStream:
 
     def take(self, width: int) -> np.ndarray:
         end = self.pos + width
-        if end > self.hits.shape[1]:
+        if end > self.hits.shape[0]:
             raise InternalInvariantError("fault hit stream overrun")
-        block = self.hits[:, self.pos:end]
+        block = self.hits[self.pos:end]
         self.pos = end
         return block
 
@@ -206,99 +256,124 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     erased where it is set. The schedule is data-independent, so two runs
     seeing the same per-frame hit rows produce identical results no matter
     how frames are grouped into batches.
+
+    The kernel works on packed bit planes of shape (N, ceil(B/8)) uint8,
+    positions-major: bit k of byte j in row i belongs to frame 8j + k, so
+    every tree block is a contiguous run of rows and one bitwise op updates
+    eight frames per byte. A message is two planes: E (erased) and S (sign,
+    1 for -infinity). The sign of an erased message is don't-care; a
+    decision reads S & ~E. With u the partial-sum plane:
+
+        f node:  E = El | Er                 S = Sl ^ Sr
+        g node:  t = Sl ^ u ^ Sr             S = Sr ^ (Er & t)
+                 E = ~(El ^ Er) & (El | t)   (both erased, or both known
+                                              with opposing signs)
+        fault:   E |= hits
+
+    The fault hits are packed once into (slots, ceil(B/8)) and the
+    decisions are unpacked once at the end; pad frames in the last byte
+    stay zero and non-erased and are dropped on unpack.
     """
     batch, size = y.shape
     n = size.bit_length() - 1
     faulty_min_level = n - fault.effective_steps(n)
     stream = None
     if fault_hits is not None and fault_slot_count(n, fault, mode) > 0:
-        stream = _HitStream(fault_hits)
+        stream = _HitStream(_pack_frames(fault_hits))
 
-    u_hat = np.empty((batch, size), dtype=np.int8)
-    decision_erased = np.empty((batch, size), dtype=bool)
+    channel = (_pack_frames(y == 0), _pack_frames(y < 0))
+    nbytes = channel[0].shape[1]
+
+    def planes(rows):
+        return (np.empty((rows, nbytes), dtype=np.uint8),
+                np.empty((rows, nbytes), dtype=np.uint8))
+
     # bits[L] holds, over completed aligned blocks of width 2**L, the
     # polar-transformed decisions of that block's leaves (the partial sums).
-    bits = [np.zeros((batch, size), dtype=np.int8) for _ in range(max(n, 1))]
-    shared_msgs = None
+    bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
+    if genie:
+        bits[0] = _pack_frames(true_u)
+        bits[0][frozen_mask] = 0  # frozen decisions feed 0 forward
+    scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
     if mode == SHARED:
-        shared_msgs = [np.empty((batch, size), dtype=np.int8) for _ in range(n)]
-        shared_msgs.append(y)
-    zero_col = np.zeros(batch, dtype=np.int8)
+        msgs = [planes(size) for _ in range(n)] + [channel]
+    else:
+        # one (E, S) pair per level for the tree of the bit being decided
+        msgs = [planes(1 << level) for level in range(n)] + [channel]
+    decision = msgs[0] if mode == SHARED or n == 0 else planes(size)
 
-    def apply_level(level, left, right, g_node, base):
+    def node(level, parent, off, base2, g_node, out_e, out_s):
+        # parent rows off.. hold the block whose partial sums start at base2
+        width = 1 << level
+        el = parent[0][off:off + width]
+        er = parent[0][off + width:off + 2 * width]
+        sl = parent[1][off:off + width]
+        sr = parent[1][off + width:off + 2 * width]
         if g_node:
-            ps = bits[level][:, base:base + (1 << level)]
-            out = np.sign(right + (1 - 2 * ps) * left).astype(np.int8, copy=False)
+            t = scratch[:width]
+            np.bitwise_xor(sl, bits[level][base2:base2 + width], out=t)
+            np.bitwise_xor(t, sr, out=t)
+            np.bitwise_and(er, t, out=out_s)
+            np.bitwise_xor(out_s, sr, out=out_s)
+            np.bitwise_or(t, el, out=t)
+            np.bitwise_xor(el, er, out=out_e)
+            np.invert(out_e, out=out_e)
+            np.bitwise_and(out_e, t, out=out_e)
         else:
-            out = left * right
+            np.bitwise_or(el, er, out=out_e)
+            np.bitwise_xor(sl, sr, out=out_s)
         if stream is not None and level >= faulty_min_level:
             # an erased message stays erased, so erasing every hit is exact
-            out = np.where(stream.take(1 << level), np.int8(0), out)
-        return out
+            np.bitwise_or(out_e, stream.take(width), out=out_e)
 
     for i0 in range(size):
         if mode == SHARED:
-            if i0 == 0:
-                levels = range(n - 1, -1, -1)
-            else:
-                levels = range((i0 & -i0).bit_length() - 1, -1, -1)
-            for level in levels:
-                width = 1 << level
+            top = n - 1 if i0 == 0 else (i0 & -i0).bit_length() - 1
+            for level in range(top, -1, -1):
                 base2 = (i0 >> (level + 1)) << (level + 1)
-                parent = shared_msgs[level + 1]
-                out = apply_level(
-                    level,
-                    parent[:, base2:base2 + width],
-                    parent[:, base2 + width:base2 + 2 * width],
-                    g_node=bool((i0 >> level) & 1),
-                    base=base2,
-                )
                 dst = (i0 >> level) << level
-                shared_msgs[level][:, dst:dst + width] = out
-            llr = shared_msgs[0][:, i0] if n > 0 else y[:, 0]
+                end = dst + (1 << level)
+                node(level, msgs[level + 1], base2, base2, bool((i0 >> level) & 1),
+                     msgs[level][0][dst:end], msgs[level][1][dst:end])
         else:
-            cur = y
             for level in range(n - 1, -1, -1):
-                width = 1 << level
                 base2 = (i0 >> (level + 1)) << (level + 1)
-                block = cur if level < n - 1 else y[:, base2:base2 + 2 * width]
-                cur = apply_level(
-                    level,
-                    block[:, :width],
-                    block[:, width:2 * width],
-                    g_node=bool((i0 >> level) & 1),
-                    base=base2,
-                )
-            llr = cur[:, 0] if n > 0 else y[:, 0]
+                # below the root the parent planes hold just this bit's block
+                off = base2 if level == n - 1 else 0
+                if level == 0:
+                    out_e, out_s = decision[0][i0:i0 + 1], decision[1][i0:i0 + 1]
+                else:
+                    out_e, out_s = msgs[level]
+                node(level, msgs[level + 1], off, base2, bool((i0 >> level) & 1),
+                     out_e, out_s)
 
-        erased = llr == 0
-        decision_erased[:, i0] = erased
-        if frozen_mask[i0]:
-            u_hat[:, i0] = 0
-            feedback = zero_col
-        else:
-            decided = np.where(llr < 0, np.int8(1), np.int8(0))
-            u_hat[:, i0] = np.where(erased, np.int8(ERASED_BIT), decided)
-            if genie:
-                feedback = true_u[:, i0]
-            else:
-                # continuation convention: an erased decision feeds 0 forward
-                feedback = decided
-        if n > 0:
-            bits[0][:, i0] = feedback
-            level = 1
-            while level < n and (i0 + 1) & ((1 << level) - 1) == 0:
-                base = (i0 + 1) - (1 << level)
-                half = 1 << (level - 1)
-                left = bits[level - 1][:, base:base + half]
-                right = bits[level - 1][:, base + half:base + 2 * half]
-                bits[level][:, base:base + half] = left ^ right
-                bits[level][:, base + half:base + 2 * half] = right
-                level += 1
+        if not genie and not frozen_mask[i0]:
+            # continuation convention: an erased decision feeds 0 forward
+            row = bits[0][i0]
+            np.bitwise_and(decision[1][i0], decision[0][i0], out=row)
+            np.bitwise_xor(row, decision[1][i0], out=row)
+        level = 1
+        while level < n and (i0 + 1) & ((1 << level) - 1) == 0:
+            base = (i0 + 1) - (1 << level)
+            half = 1 << (level - 1)
+            left = bits[level - 1][base:base + half]
+            right = bits[level - 1][base + half:base + 2 * half]
+            np.bitwise_xor(left, right, out=bits[level][base:base + half])
+            bits[level][base + half:base + 2 * half] = right
+            level += 1
 
-    if stream is not None and stream.pos != stream.hits.shape[1]:
+    if stream is not None and stream.pos != stream.hits.shape[0]:
         raise InternalInvariantError("fault hit stream not fully consumed")
-    return u_hat, decision_erased
+
+    erased, sign = decision
+    decided = np.bitwise_and(sign, erased)
+    np.bitwise_xor(decided, sign, out=decided)
+    decided[frozen_mask] = 0
+    erased_info = erased.copy()
+    erased_info[frozen_mask] = 0
+    u_hat = _unpack_frames(decided, batch)
+    np.subtract(u_hat, _unpack_frames(erased_info, batch), out=u_hat)
+    return u_hat.view(np.int8), _unpack_frames(erased, batch).view(bool)
 
 
 def sc_decode(y, code: CodeConstruction, fault: FaultSpec,

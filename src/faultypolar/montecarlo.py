@@ -75,16 +75,26 @@ def _draw_mask(gen: np.random.Generator, threshold: float, out: np.ndarray,
         np.less(gen.random(m, out=scratch[:m]), threshold, out=out[pos:pos + m])
 
 
-def _trial_bytes(n: int, slots: int, mode: str) -> int:
-    """Bytes one trial adds to a chunk's allocations.
+def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1) -> int:
+    """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
-    One byte per fault slot for its fault-hit row, plus the (B, N) int8 and
-    bool planes alive together: u, erased, x, 1 - 2x and y in _run_chunk;
-    u_hat, decision_erased, the partial-sum plane per level and, in shared
-    mode, the message plane per level in _decode_batch.
+    Per frame: its bool fault-hit row and nine (B, N) int8/bool planes (u,
+    erased, x, 1 - 2x and y in _run_chunk; the y == 0 and y < 0 masks and
+    the unpacked u_hat and decision_erased in _decode_batch). Per group of
+    eight frames, one byte per fault slot for the packed hits and one byte
+    per position for each packed plane of _decode_batch: one partial-sum
+    plane per level, in shared mode two message planes per level, and at
+    most 9 more (channel E and S, decision E and S, the two output planes,
+    the g-node scratch and, in independent-tree mode, the message planes of
+    the bit being decided). A group is paid in full even when fewer than
+    eight frames share it. Fixed scratch (the draw block and the decoder's
+    packing buffers, 64 KiB each) is not counted.
     """
-    planes = 7 + max(n, 1) + (n if mode == SHARED else 0)
-    return slots + planes * (1 << n)
+    size = 1 << n
+    packed = 9 + max(n, 1) + (2 * n if mode == SHARED else 0)
+    per_frame = slots + 9 * size
+    per_group = slots + packed * size
+    return batch * per_frame + -(-batch // 8) * per_group
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,8 @@ def run_simulation(config: SimConfig, threads: int = 1,
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        chunk_size = min(_MAX_CHUNK, max(1, _CHUNK_BYTES // per_trial))
+        groups = _CHUNK_BYTES // _trial_bytes(code.n, slots, config.mode, batch=8)
+        chunk_size = min(_MAX_CHUNK, max(1, 8 * groups))
     chunk_size = max(1, min(chunk_size, config.trials))
     bounds = [(s, min(s + chunk_size, config.trials))
               for s in range(0, config.trials, chunk_size)]

@@ -105,6 +105,21 @@ def test_simulate_deterministic_and_thread_invariant(tmp_path):
         assert (out_c / name).read_bytes() == ref
 
 
+def test_manifest_leaves_out_threads(tmp_path):
+    args = ["simulate", "--n", "4", "--p", "0.5", "--delta", "0.02",
+            "--rate", "0.5", "--trials", "300", "--seed", "7", "--genie"]
+    records = {}
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        assert main([*args, "--threads", threads, "--out-dir", str(out)]) == 0
+        lines = (out / "simulate.manifest").read_text().splitlines()
+        assert not [line for line in lines if line.startswith("threads=")]
+        records[threads] = [line for line in lines if not line.startswith("outputs=")]
+    assert records["1"] == records["4"]
+    for name in ("sim.csv", "perbit.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+
 def test_sweep_staircase_floor(tmp_path):
     rc = run_cli(["sweep", "staircase", "--n", "10", "--p", "0.5",
                   "--delta", "1e-6"], tmp_path)

@@ -281,3 +281,141 @@ def test_sc_decode_validation():
         sc_decode(np.zeros(4, np.int8), code, fault)  # rng required
     with pytest.raises(ValueError):
         sc_decode(np.zeros(4, np.int8), code, FaultSpec(), genie=True)
+
+
+def _reference_decode(y, frozen_mask, fault, mode, genie, true_u, hits):
+    """One frame of SC decoding through the public node functions.
+
+    Takes the fault hits in the decoder's fixed schedule (every computed
+    block of 2**level messages, root side first, takes the next 2**level
+    hits when its level is faulty) and derives each g node's partial sums
+    as encode() of the fed-back decisions of its left sibling block.
+    Returns the frame's (u_hat, decision_erased) rows.
+    """
+    size = y.shape[0]
+    n = size.bit_length() - 1
+    faulty_min_level = n - fault.effective_steps(n)
+    feedback = np.zeros(size, dtype=np.int8)
+    u_hat = np.zeros(size, dtype=np.int8)
+    decision_erased = np.zeros(size, dtype=bool)
+    erasure, minus = int(ERA), int(NEG)  # plain ints: enum members are slow in numpy
+    partial_sums = {}  # a left block's feedback is final once a g node reads it
+    slot = 0
+
+    def compute(level, left, right, base2, g_node):
+        nonlocal slot
+        width = 1 << level
+        if g_node:
+            key = (base2, width)
+            if key not in partial_sums:
+                partial_sums[key] = encode(feedback[base2:base2 + width])
+            out = variable_node(right, left, partial_sums[key])
+        else:
+            out = check_node(left, right)
+        if hits is not None and level >= faulty_min_level:
+            out = np.where(hits[slot:slot + width], erasure, out)
+            slot += width
+        return np.asarray(out, dtype=np.int8)
+
+    msgs = [np.zeros(size, dtype=np.int8) for _ in range(n)] + [y]
+    for i0 in range(size):
+        if mode == "shared":
+            top = n - 1 if i0 == 0 else (i0 & -i0).bit_length() - 1
+            for level in range(top, -1, -1):
+                width = 1 << level
+                base2 = (i0 >> (level + 1)) << (level + 1)
+                parent = msgs[level + 1]
+                dst = (i0 >> level) << level
+                msgs[level][dst:dst + width] = compute(
+                    level, parent[base2:base2 + width],
+                    parent[base2 + width:base2 + 2 * width], base2, (i0 >> level) & 1)
+            llr = msgs[0][i0]
+        else:
+            cur = y
+            for level in range(n - 1, -1, -1):
+                width = 1 << level
+                base2 = (i0 >> (level + 1)) << (level + 1)
+                block = y[base2:base2 + 2 * width] if level == n - 1 else cur
+                cur = compute(level, block[:width], block[width:], base2, (i0 >> level) & 1)
+            llr = cur[0]
+        decision_erased[i0] = llr == erasure
+        if not frozen_mask[i0]:
+            decided = int(llr == minus)
+            u_hat[i0] = ERASED_BIT if llr == erasure else decided
+            # an erased decision feeds 0 forward unless the genie knows better
+            feedback[i0] = true_u[i0] if genie else decided
+    if hits is not None and slot != hits.shape[0]:
+        raise AssertionError("reference left fault hits unused")
+    return u_hat, decision_erased
+
+
+def _random_batch(rng, n, batch, frozen_mask, erasure):
+    size = 1 << n
+    u = rng.integers(0, 2, (batch, size), dtype=np.int8)
+    u[:, frozen_mask] = 0
+    y = transmit_bec(encode(u), erasure, rng)
+    return u, y
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_decode_batch_matches_reference(n, mode):
+    rng = np.random.default_rng(100 + n)
+    batches = itertools.cycle((1, 7, 8, 9, 65))
+    # delta = 0 or no unprotected step draws no hits, whatever the other value
+    faults = [(0.0, None), (0.2, 0),
+              *itertools.product((0.01, 0.2, 1.0), (None, 1, 3))]
+    for genie, (delta, steps) in itertools.product((False, True), faults):
+        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        batch = next(batches)
+        frozen_mask = rng.random(1 << n) < 0.5
+        u, y = _random_batch(rng, n, batch, frozen_mask, rng.uniform(0.1, 0.6))
+        true_u = u.copy()
+        true_u[:, frozen_mask] = rng.integers(0, 2, (batch, int(frozen_mask.sum())))
+        slots = fault_slot_count(n, fault, mode)
+        hits = rng.random((batch, slots)) < delta if slots else None
+        u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, genie, true_u, hits)
+        for row in range(batch):
+            ref = _reference_decode(y[row], frozen_mask, fault, mode, genie, true_u[row],
+                                    None if hits is None else hits[row])
+            case = (genie, delta, steps, batch, row)
+            assert np.array_equal(u_hat[row], ref[0]), case
+            assert np.array_equal(erased[row], ref[1]), case
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_erased_feedback_cancels_opposing_infinities(mode):
+    # n = 1, both bits information. A fault hit erases the first decision, so
+    # 0 is fed forward. For u = (1, 0) the channel says y = (-inf, +inf), and
+    # the g node sums +inf and (-1)**0 * -inf: opposing infinities cancel to
+    # an erasure instead of a wrong bit. For u = (0, 0) they agree.
+    fault = FaultSpec(delta=0.5)
+    frozen_mask = np.zeros(2, dtype=bool)
+    y = np.array([[-1, 1], [1, 1]], dtype=np.int8)
+    hits = np.array([[True, False], [True, False]])
+    assert fault_slot_count(1, fault, mode) == 2
+    u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, False, None, hits)
+    assert u_hat.tolist() == [[ERASED_BIT, ERASED_BIT], [ERASED_BIT, 0]]
+    assert erased.tolist() == [[True, True], [True, False]]
+    # the genie feeds the true first bit and the g node resolves
+    true_u = np.array([[1, 0], [0, 0]], dtype=np.int8)
+    u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, True, true_u, hits)
+    assert u_hat.tolist() == [[ERASED_BIT, 0], [ERASED_BIT, 0]]
+    assert erased.tolist() == [[True, False], [True, False]]
+
+
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_decode_batch_rows_independent_of_batching(mode, genie):
+    rng = np.random.default_rng(11)
+    n, batch = 6, 19
+    fault = FaultSpec(delta=0.05)
+    frozen_mask = rng.random(1 << n) < 0.5
+    u, y = _random_batch(rng, n, batch, frozen_mask, 0.4)
+    hits = rng.random((batch, fault_slot_count(n, fault, mode))) < fault.delta
+    together = _decode_batch(y, frozen_mask, fault, mode, genie, u, hits)
+    for row in range(batch):
+        alone = _decode_batch(y[row:row + 1], frozen_mask, fault, mode, genie,
+                              u[row:row + 1], hits[row:row + 1])
+        assert np.array_equal(alone[0][0], together[0][row])
+        assert np.array_equal(alone[1][0], together[1][row])

@@ -44,6 +44,41 @@ SIMULATE_GOLDENS = {
     ),
 }
 
+# construct and the four sweeps of acceptance criterion 10
+DESIGN_GOLDENS = {
+    "construct": (
+        ["construct", "--n", "6", "--p", "0.5", "--delta", "1e-6", "--rate", "0.5"],
+        {"code.csv": "bd2955f8b64014a540d53595d4dbf2e9554a2d08f067047946d5324da0ef0cba",
+         "reliabilities.csv": "b0ecd5592a4af9d9feb01eb2345883d8ac3ef0fa931bcc76efbc94c1c2145f7c"},
+    ),
+    "staircase": (
+        ["sweep", "staircase", "--n", "8", "--p", "0.5", "--delta", "1e-6"],
+        {"staircase.csv": "eb51ffa1ef42efe12bb379af6a0f6c46f334e614b46ba7eaa2b6be4c9d08389c"},
+    ),
+    "fer-rate": (
+        ["sweep", "fer-rate", "--n", "8", "--p", "0.5", "--delta", "1e-6"],
+        {"fer_rate.csv": "c5d14fae168480c907dfd7be5bc8efb41c27786288e41bb4ce2b7634a6362e58"},
+    ),
+    "rate-loss": (
+        ["sweep", "rate-loss", "--p", "0.5", "--deltas", "1e-3,1e-4,1e-5", "--nu", "1..10"],
+        {"rate_loss_delta_0.001.csv":
+             "945b9f50f16addf2838c8977d7446e68c4bfabeb3a60176e2bb52d35be821417",
+         "rate_loss_delta_0.0001.csv":
+             "5d67881506f446bc717ee006798f552fc6f28fe579b15c6ab071680b07a3431f",
+         "rate_loss_delta_1e-05.csv":
+             "bf2615a010e3dcbe87cf7f27b6fc3c21e1cfa2d723eb7bbff8b0cc34e439d22c"},
+    ),
+    "protection": (
+        ["sweep", "protection", "--n", "8", "--p", "0.5", "--delta", "1e-6", "--np", "0..5"],
+        {"protection_np0.csv": "c5d14fae168480c907dfd7be5bc8efb41c27786288e41bb4ce2b7634a6362e58",
+         "protection_np1.csv": "c5d14fae168480c907dfd7be5bc8efb41c27786288e41bb4ce2b7634a6362e58",
+         "protection_np2.csv": "fe25f75385045a217bb11c261d5a2dcece949bcde0d009870ee067ef38ee2c2f",
+         "protection_np3.csv": "a5681844550be6bf7e4696e05266f01b94b6b1a254aa0e213586a8261d8849ef",
+         "protection_np4.csv": "8930dacdcf86b44740c7eb19c7a20f468743e37aecc0dd0d62bb6df7c32c3818",
+         "protection_np5.csv": "562642e564cb1ece35a2df373adb0d782ec8a69acb11cbd31e2a6153029d6622"},
+    ),
+}
+
 SC_DECODE_GOLDENS = {
     "shared": (31, "19c3d2700d0565b8ac0ae331316939ad2674ce10afea843b1bc4b4157fb7b98f"),
     "independent_tree": (39, "4664d62e2677a5ccc22ab33fff7f2da7db9e93040be452bd07b7c04b05a56db9"),
@@ -54,13 +89,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _check_csv_goldens(argv, expected, out_dir):
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.glob("*.csv")) == sorted(expected)
+    for filename, digest in expected.items():
+        assert _sha256((out_dir / filename).read_bytes()) == digest, filename
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDENS))
 def test_simulate_csv_goldens(name, tmp_path):
-    argv, expected = SIMULATE_GOLDENS[name]
-    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(expected)
-    for filename, digest in expected.items():
-        assert _sha256((tmp_path / filename).read_bytes()) == digest, filename
+    _check_csv_goldens(*SIMULATE_GOLDENS[name], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_GOLDENS))
+def test_design_csv_goldens(name, tmp_path):
+    _check_csv_goldens(*DESIGN_GOLDENS[name], tmp_path)
 
 
 @pytest.mark.parametrize("mode", sorted(SC_DECODE_GOLDENS))

@@ -1,5 +1,7 @@
 """Simulation harness: determinism, statistical bounds, resource limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from faultypolar.montecarlo import (
     TRIAL_BYTES_CEILING,
     TRIALS_HARD_CAP,
     _draw_mask,
+    _run_chunk,
     _substream_state,
     _trial_bytes,
     substream,
@@ -261,12 +264,13 @@ def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
 
 
 def test_trial_bytes_admit_the_documented_sizes():
-    # one byte per fault slot plus the int8/bool (B, N) planes
+    # a lone trial: its hit row and int8/bool (B, N) planes, plus a packed
+    # group of eight frames at one byte per fault slot and per plane position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots, "independent_tree") == slots + (7 + 8) * 256
-    assert _trial_bytes(10, 10 * 1024, "shared") == 10 * 1024 + (7 + 20) * 1024
+    assert _trial_bytes(8, slots, "independent_tree") == 2 * slots + (9 + 9 + 8) * 256
+    assert _trial_bytes(10, 10 * 1024, "shared") == 2 * 10 * 1024 + (9 + 9 + 30) * 1024
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots, "independent_tree") <= TRIAL_BYTES_CEILING
@@ -275,6 +279,36 @@ def test_trial_bytes_admit_the_documented_sizes():
         assert _trial_bytes(n, slots, "shared") <= TRIAL_BYTES_CEILING
     slots = fault_slot_count(14, tree, "independent_tree")
     assert _trial_bytes(14, slots, "independent_tree") > TRIAL_BYTES_CEILING
+
+
+def test_lone_trial_pays_a_whole_packed_group():
+    # the decoder packs eight frames per byte, so one trial of shared n = 22
+    # allocates its packed planes at N bytes each: 512 MiB in all
+    shared = FaultSpec(delta=1e-3, correlation_mode="shared")
+    slots = fault_slot_count(22, shared, "shared")
+    assert _trial_bytes(22, slots, "shared") == 512 * 2**20 > TRIAL_BYTES_CEILING
+
+
+@pytest.mark.parametrize("n, mode, genie, batch", [
+    (8, "shared", False, 1), (8, "shared", True, 13), (10, "shared", False, 64),
+    (5, "independent_tree", False, 1), (5, "independent_tree", True, 8),
+    (6, "independent_tree", True, 200),
+])
+def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
+    # numpy reports its buffers to tracemalloc; beyond the counted bytes a
+    # chunk only holds fixed scratch (the draw block and the packing buffers)
+    fixed_scratch = 4 * 2**16
+    config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=batch, mode=mode,
+                     genie=genie)
+    slots = fault_slot_count(n, config.fault, config.mode)
+    _run_chunk(config, 0, batch, slots)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        _run_chunk(config, 0, batch, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _trial_bytes(n, slots, mode, batch) + fixed_scratch
 
 
 def test_thread_pool_capped_at_chunk_count(monkeypatch):

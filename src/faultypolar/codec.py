@@ -16,7 +16,10 @@ The public node functions work on the {-1, 0, +1} values. The batched
 decoder behind sc_decode and the simulations computes the same updates
 bitsliced: each message is an erased bit and a sign bit, packed eight
 frames to a byte in positions-major (N, ceil(B/8)) planes, so a node update
-is a few bitwise operations on contiguous rows (see _decode_batch).
+is a few bitwise operations on contiguous rows (see _decode_batch). It
+reads the channel as an erasure mask plus the codeword bits. Under genie
+feedback every known message is correct, so a genie decode carries the
+erased bits alone. encode runs its butterfly on the same packed planes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ def _as_message_array(values, name):
 
 def _as_bit_array(values, name):
     arr = np.asarray(values)
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype.kind in "biu":  # integer cells: a range check suffices
+        ok = arr.size == 0 or (arr.min() >= 0 and arr.max() <= 1)
+    else:
+        ok = np.all((arr == 0) | (arr == 1))
+    if not ok:
         raise ValueError(f"{name} must contain only bits 0/1")
     return arr.astype(np.int8, copy=False)
 
@@ -61,20 +68,21 @@ def encode(u, n: int | None = None) -> np.ndarray:
     adjacent blocks first, so that channel index 1 carries the all-check
     decoding tree. The transform is an involution: encode(encode(u)) == u.
 
-    Accepts a batch: the transform applies along the last axis.
+    Accepts a batch: the transform applies along the last axis. The words
+    are packed once into bit planes (see _pack_frames), the butterfly runs
+    on them, and the result is unpacked; a 2-D batch comes back in
+    column-major (Fortran) order.
     """
-    x = _as_bit_array(u, "u").copy()
-    length = x.shape[-1]
+    arr = _as_bit_array(u, "u")
+    length = arr.shape[-1]
     if length == 0 or length & (length - 1):
         raise ValueError(f"length must be a power of two, got {length}")
-    stages = length.bit_length() - 1
-    if n is not None and n != stages:
+    if n is not None and n != length.bit_length() - 1:
         raise ValueError(f"length {length} does not match exponent n={n}")
-    for s in range(stages):
-        w = 1 << s
-        v = x.reshape(x.shape[:-1] + (length // (2 * w), 2 * w))
-        v[..., :w] ^= v[..., w:]
-    return x
+    frames = arr.reshape(-1, length)
+    planes = _pack_frames(frames)
+    _polar_transform(planes)
+    return _unpack_frames(planes, frames.shape[0]).view(np.int8).reshape(arr.shape)
 
 
 def transmit_bec(x, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -182,9 +190,13 @@ def _pack_frames(cells: np.ndarray) -> np.ndarray:
     temporary of the input's size appears. Eight cells of a row share one
     uint64 word when the rows are contiguous and W is a multiple of 8;
     shifting a 0/1 cell by fewer than 8 bits never leaves its byte, so the
-    loop treats uint64 and single-cell uint8 words alike.
+    loop treats uint64 and single-cell uint8 words alike. A column-major
+    input, such as _unpack_frames returns, holds each position's frames
+    contiguously, so np.packbits packs it directly.
     """
     batch, width = cells.shape
+    if cells.flags.f_contiguous:
+        return np.packbits(cells.T, axis=1, bitorder="little")
     nbytes = -(-batch // 8)
     out = np.empty((width, nbytes), dtype=np.uint8)
     wide = cells.flags.c_contiguous and width % 8 == 0
@@ -213,6 +225,20 @@ def _pack_frames(cells: np.ndarray) -> np.ndarray:
 def _unpack_frames(planes: np.ndarray, batch: int) -> np.ndarray:
     """Inverse of _pack_frames: (W, nbytes) planes to (batch, W) uint8 0/1 cells."""
     return np.unpackbits(planes.T, axis=0, count=batch, bitorder="little")
+
+
+def _polar_transform(planes: np.ndarray) -> None:
+    """Run encode's butterfly in place on (N, nbytes) positions-major planes.
+
+    Each stage XORs the right half of every block of 2w rows into its left
+    half: one operation over contiguous rows.
+    """
+    size, nbytes = planes.shape
+    w = 1
+    while w < size:
+        blocks = planes.reshape(size // (2 * w), 2 * w, nbytes)
+        blocks[:, :w] ^= blocks[:, w:]
+        w *= 2
 
 
 class _HitStream:
@@ -245,10 +271,15 @@ def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
     return size * per_bit
 
 
-def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
-                  mode: str, genie: bool, true_u: np.ndarray | None,
+def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
+                  mode: str, genie: bool, codeword: np.ndarray | None,
                   fault_hits: np.ndarray | None):
     """Decode a (B, N) batch of frames; returns (u_hat, decision_erased).
+
+    erased is the (B, N) bool channel-erasure mask and codeword the (B, N)
+    0/1 codeword bits. The BEC never lies, so where it does not erase it
+    reports the codeword bit: the codeword is the channel's sign plane, and
+    its bits at erased positions are don't-care.
 
     fault_hits is a (B, fault_slot_count) bool array holding, for each
     frame, its fault uniforms already turned into hits (uniform < delta).
@@ -260,9 +291,9 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     The kernel works on packed bit planes of shape (N, ceil(B/8)) uint8,
     positions-major: bit k of byte j in row i belongs to frame 8j + k, so
     every tree block is a contiguous run of rows and one bitwise op updates
-    eight frames per byte. A message is two planes: E (erased) and S (sign,
-    1 for -infinity). The sign of an erased message is don't-care; a
-    decision reads S & ~E. With u the partial-sum plane:
+    eight frames per byte. Without the genie a message is two planes: E
+    (erased) and S (sign, 1 for -infinity). The sign of an erased message
+    is don't-care; a decision reads S & ~E. With u the partial-sum plane:
 
         f node:  E = El | Er                 S = Sl ^ Sr
         g node:  t = Sl ^ u ^ Sr             S = Sr ^ (Er & t)
@@ -270,46 +301,61 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                                               with opposing signs)
         fault:   E |= hits
 
-    The fault hits are packed once into (slots, ceil(B/8)) and the
-    decisions are unpacked once at the end; pad frames in the last byte
-    stay zero and non-erased and are dropped on unpack.
+    The genie feeds the true bits forward, with frozen bits as 0, so every
+    message that is not erased is correct: two known inputs of a g node
+    always agree. The erasure pattern then depends on the channel and
+    fault erasures alone, and the kernel carries E only, with no sign
+    planes and no partial sums:
+
+        f node:  E = El | Er     g node:  E = El & Er     fault:  E |= hits
+
+    In genie mode codeword (which may be None) serves only the u_hat bits:
+    they are encode(codeword) where the decision is not erased, or 0 with
+    None, as for the all-zero word.
+
+    The inputs are packed once and the decisions unpacked once at the end;
+    pad frames in the last byte stay zero and non-erased and are dropped on
+    unpack.
     """
-    batch, size = y.shape
+    batch, size = erased.shape
     n = size.bit_length() - 1
     faulty_min_level = n - fault.effective_steps(n)
     stream = None
     if fault_hits is not None and fault_slot_count(n, fault, mode) > 0:
         stream = _HitStream(_pack_frames(fault_hits))
 
-    channel = (_pack_frames(y == 0), _pack_frames(y < 0))
+    signs = not genie
+    channel = (_pack_frames(erased),) + ((_pack_frames(codeword),) if signs else ())
     nbytes = channel[0].shape[1]
 
     def planes(rows):
-        return (np.empty((rows, nbytes), dtype=np.uint8),
-                np.empty((rows, nbytes), dtype=np.uint8))
+        return tuple(np.empty((rows, nbytes), dtype=np.uint8) for _ in channel)
 
-    # bits[L] holds, over completed aligned blocks of width 2**L, the
-    # polar-transformed decisions of that block's leaves (the partial sums).
-    bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
-    if genie:
-        bits[0] = _pack_frames(true_u)
-        bits[0][frozen_mask] = 0  # frozen decisions feed 0 forward
-    scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
+    if signs:
+        # bits[L] holds, over completed aligned blocks of width 2**L, the
+        # polar-transformed decisions of that block's leaves (the partial
+        # sums).
+        bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
+        scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
     if mode == SHARED:
         msgs = [planes(size) for _ in range(n)] + [channel]
     else:
-        # one (E, S) pair per level for the tree of the bit being decided
+        # one message per level for the tree of the bit being decided
         msgs = [planes(1 << level) for level in range(n)] + [channel]
     decision = msgs[0] if mode == SHARED or n == 0 else planes(size)
 
-    def node(level, parent, off, base2, g_node, out_e, out_s):
+    def node(level, parent, off, base2, g_node, out):
         # parent rows off.. hold the block whose partial sums start at base2
         width = 1 << level
         el = parent[0][off:off + width]
         er = parent[0][off + width:off + 2 * width]
-        sl = parent[1][off:off + width]
-        sr = parent[1][off + width:off + 2 * width]
-        if g_node:
+        out_e = out[0]
+        if not signs:
+            (np.bitwise_and if g_node else np.bitwise_or)(el, er, out=out_e)
+        elif g_node:
+            sl = parent[1][off:off + width]
+            sr = parent[1][off + width:off + 2 * width]
+            out_s = out[1]
             t = scratch[:width]
             np.bitwise_xor(sl, bits[level][base2:base2 + width], out=t)
             np.bitwise_xor(t, sr, out=t)
@@ -321,7 +367,8 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             np.bitwise_and(out_e, t, out=out_e)
         else:
             np.bitwise_or(el, er, out=out_e)
-            np.bitwise_xor(sl, sr, out=out_s)
+            np.bitwise_xor(parent[1][off:off + width],
+                           parent[1][off + width:off + 2 * width], out=out[1])
         if stream is not None and level >= faulty_min_level:
             # an erased message stays erased, so erasing every hit is exact
             np.bitwise_or(out_e, stream.take(width), out=out_e)
@@ -332,22 +379,19 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             for level in range(top, -1, -1):
                 base2 = (i0 >> (level + 1)) << (level + 1)
                 dst = (i0 >> level) << level
-                end = dst + (1 << level)
-                node(level, msgs[level + 1], base2, base2, bool((i0 >> level) & 1),
-                     msgs[level][0][dst:end], msgs[level][1][dst:end])
+                out = tuple(p[dst:dst + (1 << level)] for p in msgs[level])
+                node(level, msgs[level + 1], base2, base2, bool((i0 >> level) & 1), out)
         else:
             for level in range(n - 1, -1, -1):
                 base2 = (i0 >> (level + 1)) << (level + 1)
                 # below the root the parent planes hold just this bit's block
                 off = base2 if level == n - 1 else 0
-                if level == 0:
-                    out_e, out_s = decision[0][i0:i0 + 1], decision[1][i0:i0 + 1]
-                else:
-                    out_e, out_s = msgs[level]
-                node(level, msgs[level + 1], off, base2, bool((i0 >> level) & 1),
-                     out_e, out_s)
+                out = msgs[level] if level else tuple(p[i0:i0 + 1] for p in decision)
+                node(level, msgs[level + 1], off, base2, bool((i0 >> level) & 1), out)
 
-        if not genie and not frozen_mask[i0]:
+        if not signs:
+            continue
+        if not frozen_mask[i0]:
             # continuation convention: an erased decision feeds 0 forward
             row = bits[0][i0]
             np.bitwise_and(decision[1][i0], decision[0][i0], out=row)
@@ -365,15 +409,22 @@ def _decode_batch(y: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     if stream is not None and stream.pos != stream.hits.shape[0]:
         raise InternalInvariantError("fault hit stream not fully consumed")
 
-    erased, sign = decision
-    decided = np.bitwise_and(sign, erased)
-    np.bitwise_xor(decided, sign, out=decided)
+    dec_erased = decision[0]
+    if signs:
+        dec_sign = decision[1]
+    elif codeword is None:  # the all-zero word
+        dec_sign = np.zeros_like(dec_erased)
+    else:  # the true word, which every genie decision that is known reads
+        dec_sign = _pack_frames(codeword)
+        _polar_transform(dec_sign)
+    decided = np.bitwise_and(dec_sign, dec_erased)
+    np.bitwise_xor(decided, dec_sign, out=decided)
     decided[frozen_mask] = 0
-    erased_info = erased.copy()
+    erased_info = dec_erased.copy()
     erased_info[frozen_mask] = 0
     u_hat = _unpack_frames(decided, batch)
     np.subtract(u_hat, _unpack_frames(erased_info, batch), out=u_hat)
-    return u_hat.view(np.int8), _unpack_frames(erased, batch).view(bool)
+    return u_hat.view(np.int8), _unpack_frames(dec_erased, batch).view(bool)
 
 
 def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
@@ -397,7 +448,9 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         Feed the true bits forward regardless of the decisions, so each
         decision-LLR erasure event is measured against Z_i.
     true_u : array-like, optional
-        True input word, required in genie mode.
+        True input word, required in genie mode. Its frozen bits are
+        taken as 0, and y must agree with encode of that word at every
+        non-erased position; otherwise ValueError is raised.
     mode : str, optional
         "shared" or "independent_tree"; defaults to fault.correlation_mode.
     """
@@ -408,11 +461,18 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         mode = fault.correlation_mode
     if mode not in (SHARED, INDEPENDENT_TREE):
         raise ValueError(f"unknown mode {mode!r}")
-    true_arr = None
+    erased = y_arr == 0
     if genie:
         if true_u is None:
             raise ValueError("genie decoding requires the true input word")
-        true_arr = _as_bit_array(true_u, "true_u").reshape(1, code.N)
+        known = _as_bit_array(true_u, "true_u").reshape(code.N)
+        codeword = encode(np.where(code.frozen_mask, np.int8(0), known))
+        # the erasure-only genie kernel is exact only for a consistent frame
+        if np.any(~erased & (codeword != (y_arr < 0))):
+            raise ValueError("y disagrees with encode(true_u), frozen bits zeroed, "
+                             "at a non-erased position")
+    else:
+        codeword = y_arr < 0
     slots = fault_slot_count(code.n, fault, mode)
     hits = None
     if slots:
@@ -420,8 +480,8 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
             raise ValueError("an rng is required when fault injection is active")
         hits = rng.random((1, slots)) < fault.delta
     u_hat_full, erased_full = _decode_batch(
-        y_arr.reshape(1, code.N), code.frozen_mask, fault, mode, genie,
-        true_arr, hits,
+        erased.reshape(1, code.N), code.frozen_mask, fault, mode, genie,
+        codeword.reshape(1, code.N), hits,
     )
     info0 = code.info_indices - 1
     u_hat = u_hat_full[0, info0]

@@ -1,7 +1,10 @@
 """Reproducible batched simulation of encode/transmit/decode cycles.
 
-Every trial owns three Philox substreams keyed by (master_seed, trial,
-role) with role 0 = source word, 1 = channel erasures, 2 = decoder faults.
+Every trial owns Philox substreams keyed by (master_seed, trial, role)
+with role 0 = source word, 1 = channel erasures, 2 = decoder faults.
+Non-genie runs draw all three. Genie runs draw only the last two: with
+true feedback the erasure pattern does not depend on the word sent, and
+each role has its own counter, so the other two streams are unchanged.
 The counter-based derivation makes each stream independent of batching and
 thread count, so a SimConfig pins the outcome bit for bit.
 
@@ -9,7 +12,9 @@ A chunk of trials builds one generator per role and, before each trial,
 rewinds it to that trial's counter; because Philox is counter-based this
 yields exactly the stream a freshly built generator would. Channel and
 fault uniforms are drawn in fixed-size blocks and kept only as boolean
-erasure masks (uniform < p, uniform < delta), one byte per draw.
+erasure masks (uniform < p, uniform < delta), one byte per draw. The
+decoder takes the channel-erasure mask and, without the genie, the encoded
+source word; no {-1, 0, +1} channel array is built.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fer_proxy
-from .codec import ERASED_BIT, _decode_batch, encode, fault_slot_count
+from .codec import _decode_batch, encode, fault_slot_count
 from .construction import CodeConstruction
 from .core import INDEPENDENT_TREE, SHARED, FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
@@ -75,24 +80,32 @@ def _draw_mask(gen: np.random.Generator, threshold: float, out: np.ndarray,
         np.less(gen.random(m, out=scratch[:m]), threshold, out=out[pos:pos + m])
 
 
-def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1) -> int:
+def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
+                 genie: bool = False) -> int:
     """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
-    Per frame: its bool fault-hit row and nine (B, N) int8/bool planes (u,
-    erased, x, 1 - 2x and y in _run_chunk; the y == 0 and y < 0 masks and
-    the unpacked u_hat and decision_erased in _decode_batch). Per group of
-    eight frames, one byte per fault slot for the packed hits and one byte
-    per position for each packed plane of _decode_batch: one partial-sum
+    Per frame: its bool fault-hit row and (B, N) int8/bool planes: the
+    channel-erasure mask plus two of u_hat, its unpack temporary,
+    decision_erased and the information columns gathered for the counts;
+    without the genie, u and its codeword add two more. Per group of eight
+    frames, one byte per fault slot for the packed hits and one byte per
+    position for each packed plane. Without the genie: one partial-sum
     plane per level, in shared mode two message planes per level, and at
     most 9 more (channel E and S, decision E and S, the two output planes,
-    the g-node scratch and, in independent-tree mode, the message planes of
-    the bit being decided). A group is paid in full even when fewer than
-    eight frames share it. Fixed scratch (the draw block and the decoder's
+    the g-node scratch and, in independent-tree mode, the message planes
+    of the bit being decided). In genie mode, E planes only: in shared mode
+    one message plane per level, and at most 6 more (channel, decision,
+    the independent-tree message planes, the true-word plane and the two
+    output planes). A group is paid in full even when fewer than eight
+    frames share it. Fixed scratch (the draw block and the decoder's
     packing buffers, 64 KiB each) is not counted.
     """
     size = 1 << n
-    packed = 9 + max(n, 1) + (2 * n if mode == SHARED else 0)
-    per_frame = slots + 9 * size
+    if genie:
+        planes, packed = 3, 6 + (n if mode == SHARED else 0)
+    else:
+        planes, packed = 5, 9 + max(n, 1) + (2 * n if mode == SHARED else 0)
+    per_frame = slots + planes * size
     per_group = slots + packed * size
     return batch * per_frame + -(-batch // 8) * per_group
 
@@ -178,31 +191,33 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     k = info0.size
     seed = config.master_seed
 
-    roles = (ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
-    gens = [substream(seed, start, role) for role in roles]
-    bitgens = [gen.bit_generator for gen in gens]
-    states = [_substream_state(seed, start, role) for role in roles]
-    source, channel, faults = gens
+    # genie runs draw no source word: their erasures do not depend on it
+    roles = (ROLE_CHANNEL, ROLE_FAULTS) if config.genie else (
+        ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
+    gens = {role: substream(seed, start, role) for role in roles}
+    states = [(gens[role].bit_generator, _substream_state(seed, start, role))
+              for role in roles]
 
-    u = np.zeros((batch, size), dtype=np.int8)
+    u = None if config.genie else np.zeros((batch, size), dtype=np.int8)
     erased = np.empty((batch, size), dtype=bool)
     hits = np.empty((batch, slots), dtype=bool) if slots else None
     scratch = np.empty(_DRAW_BLOCK, dtype=np.float64)
     for row, trial in enumerate(range(start, stop)):
-        for bitgen, state in zip(bitgens, states):
+        for bitgen, state in states:
             state["state"]["counter"][1] = trial
             bitgen.state = state
-        u[row, info0] = source.integers(0, 2, size=k, dtype=np.int8)
-        _draw_mask(channel, config.channel_erasure, erased[row], scratch)
+        if u is not None:
+            u[row, info0] = gens[ROLE_SOURCE].integers(0, 2, size=k, dtype=np.int8)
+        _draw_mask(gens[ROLE_CHANNEL], config.channel_erasure, erased[row], scratch)
         if slots:
-            _draw_mask(faults, config.fault.delta, hits[row], scratch)
+            _draw_mask(gens[ROLE_FAULTS], config.fault.delta, hits[row], scratch)
 
-    x = encode(u)
-    y = np.where(erased, np.int8(0), (1 - 2 * x).astype(np.int8))
-    u_hat, decision_erased = _decode_batch(
-        y, code.frozen_mask, config.fault, config.mode, config.genie, u, hits)
+    # only the erasures count; dropping u_hat at once bounds the live planes
+    decision_erased = _decode_batch(
+        erased, code.frozen_mask, config.fault, config.mode, config.genie,
+        None if u is None else encode(u), hits)[1]
 
-    erased_info = u_hat[:, info0] == ERASED_BIT
+    erased_info = decision_erased[:, info0]
     frame_erasures = int(erased_info.any(axis=1).sum())
     info_bit_erasures = int(erased_info.sum())
     per_bit = decision_erased.sum(axis=0, dtype=np.int64) if config.genie else None
@@ -228,13 +243,14 @@ def run_simulation(config: SimConfig, threads: int = 1,
         raise ValueError("threads must be >= 1")
 
     slots = fault_slot_count(code.n, config.fault, config.mode)
-    per_trial = _trial_bytes(code.n, slots, config.mode)
+    per_trial = _trial_bytes(code.n, slots, config.mode, genie=config.genie)
     if per_trial > TRIAL_BYTES_CEILING:
         raise ResourceLimitError(
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        groups = _CHUNK_BYTES // _trial_bytes(code.n, slots, config.mode, batch=8)
+        group = _trial_bytes(code.n, slots, config.mode, batch=8, genie=config.genie)
+        groups = _CHUNK_BYTES // group
         chunk_size = min(_MAX_CHUNK, max(1, 8 * groups))
     chunk_size = max(1, min(chunk_size, config.trials))
     bounds = [(s, min(s + chunk_size, config.trials))

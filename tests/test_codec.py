@@ -54,6 +54,19 @@ def test_encode_is_involution():
         assert np.array_equal(encode(encode(u), n=n), u)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_encode_batches_match_matrix_oracle(n):
+    # batch sizes around the eight frames of a packed byte, and a 3-D batch
+    g = kron_transform(n)
+    rng = np.random.default_rng(20 + n)
+    for shape in [(1,), (7,), (8,), (9,), (65,), (3, 5)]:
+        u = rng.integers(0, 2, (*shape, 2**n), dtype=np.int8)
+        x = encode(u)
+        assert x.shape == u.shape and x.dtype == np.int8, shape
+        assert np.array_equal(x, (u @ g) % 2), shape
+    assert np.array_equal(encode(u.astype(bool)), (u @ g) % 2)
+
+
 def test_encode_rejects_bad_input():
     with pytest.raises(ValueError):
         encode([0, 1, 1])
@@ -175,8 +188,8 @@ def test_round_trip_random_n1024():
     u = np.zeros((1000, 1024), np.int8)
     u[:, info0] = rng.integers(0, 2, size=(1000, 512), dtype=np.int8)
     y = (1 - 2 * encode(u)).astype(np.int8)
-    u_hat, erased = _decode_batch(y, code.frozen_mask, FaultSpec(), "shared",
-                                  False, None, None)
+    u_hat, erased = _decode_batch(y == 0, code.frozen_mask, FaultSpec(), "shared",
+                                  False, y < 0, None)
     assert not erased.any()
     assert np.array_equal(u_hat, u)
 
@@ -283,6 +296,32 @@ def test_sc_decode_validation():
         sc_decode(np.zeros(4, np.int8), code, FaultSpec(), genie=True)
 
 
+def test_sc_decode_genie_rejects_an_inconsistent_frame():
+    # the genie's erasure-only kernel assumes the channel agrees with the
+    # true word (frozen bits zeroed) wherever it does not erase
+    code = _all_zero_code(3, 4)
+    info0 = code.info_indices - 1
+    u = np.zeros(8, np.int8)
+    u[info0] = [1, 0, 1, 1]
+    x = encode(u)
+    y = (1 - 2 * x).astype(np.int8)
+    y[0] = 0
+    assert not sc_decode(y, code, FaultSpec(), genie=True, true_u=u).frame_erased
+    frozen_set = u.copy()
+    frozen_set[np.flatnonzero(code.frozen_mask)[0]] = 1  # the genie zeroes it
+    sc_decode(y, code, FaultSpec(), genie=True, true_u=frozen_set)
+    flipped = y.copy()
+    flipped[3] = -flipped[3]
+    with pytest.raises(ValueError):
+        sc_decode(flipped, code, FaultSpec(), genie=True, true_u=u)
+    with pytest.raises(ValueError):
+        sc_decode(transmit_bec(encode(frozen_set), 0.0, np.random.default_rng(0)),
+                  code, FaultSpec(), genie=True, true_u=frozen_set)
+    erased = flipped.copy()
+    erased[3] = 0  # a disagreement the channel erased does not count
+    sc_decode(erased, code, FaultSpec(), genie=True, true_u=u)
+
+
 def _reference_decode(y, frozen_mask, fault, mode, genie, true_u, hits):
     """One frame of SC decoding through the public node functions.
 
@@ -357,15 +396,16 @@ def _random_batch(rng, n, batch, frozen_mask, erasure):
     return u, y
 
 
+# delta = 0 or no unprotected step draws no hits, whatever the other value
+_FAULT_GRID = [(0.0, None), (0.2, 0), *itertools.product((0.01, 0.2, 1.0), (None, 1, 3))]
+
+
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_decode_batch_matches_reference(n, mode):
     rng = np.random.default_rng(100 + n)
     batches = itertools.cycle((1, 7, 8, 9, 65))
-    # delta = 0 or no unprotected step draws no hits, whatever the other value
-    faults = [(0.0, None), (0.2, 0),
-              *itertools.product((0.01, 0.2, 1.0), (None, 1, 3))]
-    for genie, (delta, steps) in itertools.product((False, True), faults):
+    for genie, (delta, steps) in itertools.product((False, True), _FAULT_GRID):
         fault = FaultSpec(delta=delta, unprotected_steps=steps)
         batch = next(batches)
         frozen_mask = rng.random(1 << n) < 0.5
@@ -374,13 +414,36 @@ def test_decode_batch_matches_reference(n, mode):
         true_u[:, frozen_mask] = rng.integers(0, 2, (batch, int(frozen_mask.sum())))
         slots = fault_slot_count(n, fault, mode)
         hits = rng.random((batch, slots)) < delta if slots else None
-        u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, genie, true_u, hits)
+        u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
         for row in range(batch):
             ref = _reference_decode(y[row], frozen_mask, fault, mode, genie, true_u[row],
                                     None if hits is None else hits[row])
             case = (genie, delta, steps, batch, row)
             assert np.array_equal(u_hat[row], ref[0]), case
             assert np.array_equal(erased[row], ref[1]), case
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_genie_erasures_do_not_depend_on_the_codeword(n, mode):
+    # with true feedback the erasure pattern is that of the all-zero word
+    rng = np.random.default_rng(200 + n)
+    batches = itertools.cycle((1, 7, 8, 9, 65))
+    for delta, steps in _FAULT_GRID:
+        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        batch = next(batches)
+        frozen_mask = rng.random(1 << n) < 0.5
+        u, y = _random_batch(rng, n, batch, frozen_mask, rng.uniform(0.1, 0.6))
+        slots = fault_slot_count(n, fault, mode)
+        hits = rng.random((batch, slots)) < delta if slots else None
+        blind = _decode_batch(y == 0, frozen_mask, fault, mode, True, None, hits)
+        told = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(u), hits)
+        case = (delta, steps, batch)
+        assert np.array_equal(blind[1], told[1]), case
+        assert np.array_equal(blind[0] == ERASED_BIT, told[0] == ERASED_BIT), case
+        assert not blind[0].any(where=blind[0] != ERASED_BIT), case
+        known = told[0] != ERASED_BIT
+        assert np.array_equal(told[0][known], u[known]), case
 
 
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])
@@ -394,12 +457,12 @@ def test_erased_feedback_cancels_opposing_infinities(mode):
     y = np.array([[-1, 1], [1, 1]], dtype=np.int8)
     hits = np.array([[True, False], [True, False]])
     assert fault_slot_count(1, fault, mode) == 2
-    u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, False, None, hits)
+    u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
     assert u_hat.tolist() == [[ERASED_BIT, ERASED_BIT], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, True], [True, False]]
     # the genie feeds the true first bit and the g node resolves
     true_u = np.array([[1, 0], [0, 0]], dtype=np.int8)
-    u_hat, erased = _decode_batch(y, frozen_mask, fault, mode, True, true_u, hits)
+    u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(true_u), hits)
     assert u_hat.tolist() == [[ERASED_BIT, 0], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, False], [True, False]]
 
@@ -413,9 +476,9 @@ def test_decode_batch_rows_independent_of_batching(mode, genie):
     frozen_mask = rng.random(1 << n) < 0.5
     u, y = _random_batch(rng, n, batch, frozen_mask, 0.4)
     hits = rng.random((batch, fault_slot_count(n, fault, mode))) < fault.delta
-    together = _decode_batch(y, frozen_mask, fault, mode, genie, u, hits)
+    together = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
     for row in range(batch):
-        alone = _decode_batch(y[row:row + 1], frozen_mask, fault, mode, genie,
-                              u[row:row + 1], hits[row:row + 1])
+        alone = _decode_batch(y[row:row + 1] == 0, frozen_mask, fault, mode, genie,
+                              encode(u[row:row + 1]), hits[row:row + 1])
         assert np.array_equal(alone[0][0], together[0][row])
         assert np.array_equal(alone[1][0], together[1][row])

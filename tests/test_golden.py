@@ -35,6 +35,18 @@ SIMULATE_GOLDENS = {
         {"sim.csv": "4c98c19994d5b3a2b54abb69984c590353644ecf708fd6f4fbafd7ad12346f86",
          "perbit.csv": "cccae7dc4b23df5e7197f5d1b5b8ce62c4caeb6275f910b6b9b4874691cb5a4d"},
     ),
+    # non-genie independent-tree decoder: the sign path with faulty leaf levels
+    "tree-nu2": (
+        ["simulate", "--n", "6", "--p", "0.4", "--delta", "0.03", "--rate", "0.4",
+         "--mode", "independent-tree", "--nu", "2", "--trials", "500", "--seed", "17"],
+        {"sim.csv": "6b244bdc000f3dbc1bc44ae7cad39c91fc8c3ed3b2f5d058959db48539f9ba61"},
+    ),
+    "shared-genie": (
+        ["simulate", "--n", "6", "--p", "0.35", "--delta", "0.02", "--rate", "0.5",
+         "--mode", "shared", "--genie", "--trials", "600", "--seed", "23"],
+        {"sim.csv": "0c42b8bfa0833f137402d449ed1a134c865355c8c59337da47647d630b91f724",
+         "perbit.csv": "4ad32ef7daad95f287c2d5b83c57c9e678575b1b06116ba803a6ef43a9ca7135"},
+    ),
     # delta = 0: no fault slots are drawn at all
     "delta0": (
         ["simulate", "--n", "6", "--p", "0.45", "--delta", "0", "--rate", "0.5",

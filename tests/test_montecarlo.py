@@ -269,8 +269,8 @@ def test_trial_bytes_admit_the_documented_sizes():
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots, "independent_tree") == 2 * slots + (9 + 9 + 8) * 256
-    assert _trial_bytes(10, 10 * 1024, "shared") == 2 * 10 * 1024 + (9 + 9 + 30) * 1024
+    assert _trial_bytes(8, slots, "independent_tree") == 2 * slots + (5 + 9 + 8) * 256
+    assert _trial_bytes(10, 10 * 1024, "shared") == 2 * 10 * 1024 + (5 + 9 + 30) * 1024
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots, "independent_tree") <= TRIAL_BYTES_CEILING
@@ -283,10 +283,10 @@ def test_trial_bytes_admit_the_documented_sizes():
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes each: 512 MiB in all
+    # allocates its packed planes at N bytes each: 496 MiB in all
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots, "shared") == 512 * 2**20 > TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots, "shared") == 496 * 2**20 > TRIAL_BYTES_CEILING
 
 
 @pytest.mark.parametrize("n, mode, genie, batch", [
@@ -309,6 +309,54 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
     finally:
         tracemalloc.stop()
     assert peak <= _trial_bytes(n, slots, mode, batch) + fixed_scratch
+
+
+def test_genie_trial_bytes_admit_the_same_sizes():
+    # genie runs count fewer planes, but the admitted sizes do not move
+    for mode, largest in (("independent_tree", 13), ("shared", 21)):
+        fault = FaultSpec(delta=1e-3, correlation_mode=mode)
+        for n in range(1, largest + 2):
+            slots = fault_slot_count(n, fault, mode)
+            admitted = _trial_bytes(n, slots, mode, genie=True) <= TRIAL_BYTES_CEILING
+            assert admitted == (n <= largest), (mode, n)
+
+
+@pytest.mark.parametrize("n, mode, batch, k", [
+    (8, "shared", 13, 128), (10, "shared", 64, 1023), (5, "independent_tree", 8, 16),
+    (6, "independent_tree", 200, 63), (6, "independent_tree", 1, 32),
+])
+def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
+    # the genie count leaves out u, its codeword, the sign planes and the
+    # partial sums; k = N - 1 gathers the most information columns
+    fixed_scratch = 4 * 2**16
+    config = _config(n=n, k=k, p=0.4, delta=0.01, trials=batch, mode=mode, genie=True)
+    slots = fault_slot_count(n, config.fault, config.mode)
+    _run_chunk(config, 0, batch, slots)
+    tracemalloc.start()
+    try:
+        _run_chunk(config, 0, batch, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _trial_bytes(n, slots, mode, batch, genie=True) + fixed_scratch
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_genie_run_draws_no_source_word(monkeypatch, mode):
+    roles = []
+
+    def recording(master_seed, trial, role):
+        roles.append(role)
+        return substream(master_seed, trial, role)
+
+    monkeypatch.setattr(montecarlo, "substream", recording)
+    config = _config(p=0.4, delta=0.02, trials=30, mode=mode, genie=True)
+    run_simulation(config, chunk_size=7)
+    assert roles and ROLE_SOURCE not in roles
+    assert set(roles) == {ROLE_CHANNEL, ROLE_FAULTS}
+    roles.clear()
+    run_simulation(_config(p=0.4, delta=0.02, trials=30, mode=mode))
+    assert set(roles) == {ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS}
 
 
 def test_thread_pool_capped_at_chunk_count(monkeypatch):

@@ -12,7 +12,6 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -66,12 +65,20 @@ def parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part != ""]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns under `header`, a whole column at a time.
+
+    Float columns get the 17 significant digits of `_fmt`; integer columns
+    are printed as integers.
+    """
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        fmt = "{:.17g}".format if column.dtype.kind == "f" else str
+        cells.append(map(fmt, column.tolist()))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_manifest(path: Path | None, entries: dict) -> None:
@@ -136,11 +143,10 @@ def cmd_construct(args) -> int:
     out = _out_dir(args)
     rel_path = out / "reliabilities.csv"
     code_path = out / "code.csv"
-    _write_csv(rel_path, ["index", "z"],
-               ((i + 1, z) for i, z in enumerate(code.reliabilities)))
-    frozen = code.frozen_mask
+    index = np.arange(1, size + 1)
+    _write_csv(rel_path, ["index", "z"], [index, code.reliabilities])
     _write_csv(code_path, ["index", "frozen"],
-               ((i + 1, int(frozen[i])) for i in range(size)))
+               [index, code.frozen_mask.astype(np.int64)])
     return _finish(args, out, "construct.manifest", entries, [rel_path, code_path])
 
 
@@ -166,16 +172,16 @@ def cmd_simulate(args) -> int:
     _write_csv(sim_path,
                ["frames", "frame_erasures", "fer", "ber",
                 "fer_lo95", "fer_hi95", "proxy_sum"],
-               [[outcome.frames, outcome.frame_erasures, outcome.fer,
-                 outcome.ber, lo, hi, _fer_proxy(code)]])
+               [[outcome.frames], [outcome.frame_erasures], [outcome.fer],
+                [outcome.ber], [lo], [hi], [_fer_proxy(code)]])
     outputs = [sim_path]
     if args.genie:
         perbit_path = out / "perbit.csv"
         counts = outcome.per_bit_erasures
         _write_csv(perbit_path,
                    ["index", "erasure_count", "empirical_rate", "z"],
-                   ((i + 1, int(counts[i]), counts[i] / outcome.frames,
-                     code.reliabilities[i]) for i in range(size)))
+                   [np.arange(1, size + 1), counts, counts / outcome.frames,
+                    code.reliabilities])
         outputs.append(perbit_path)
     return _finish(args, out, "simulate.manifest", entries, outputs)
 
@@ -189,8 +195,7 @@ def cmd_sweep_staircase(args) -> int:
     result = staircase(args.n, args.p, fault)
     out = _out_dir(args)
     path = out / "staircase.csv"
-    _write_csv(path, ["index_fraction", "z"],
-               zip(result.axis, result.series["z"]))
+    _write_csv(path, ["index_fraction", "z"], [result.axis, result.series["z"]])
     return _finish(args, out, "sweep_staircase.manifest", entries, [path])
 
 
@@ -204,8 +209,8 @@ def cmd_sweep_fer_rate(args) -> int:
     out = _out_dir(args)
     path = out / "fer_rate.csv"
     _write_csv(path, ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"],
-               zip(result.axis, result.series["k"], result.series["realized_rate"],
-                   result.series["proxy_raw"], result.series["proxy_clamped"]))
+               [result.axis, result.series["k"], result.series["realized_rate"],
+                result.series["proxy_raw"], result.series["proxy_clamped"]])
     return _finish(args, out, "sweep_fer_rate.manifest", entries, [path])
 
 
@@ -220,8 +225,8 @@ def cmd_sweep_rate_loss(args) -> int:
     for delta in args.deltas:
         path = out / f"rate_loss_delta_{delta:g}.csv"
         _write_csv(path, ["nu", "delta_r", "pct_capacity"],
-                   zip(result.axis, result.series[f"delta_r_{delta:g}"],
-                       result.series[f"pct_capacity_{delta:g}"]))
+                   [result.axis, result.series[f"delta_r_{delta:g}"],
+                    result.series[f"pct_capacity_{delta:g}"]])
         outputs.append(path)
     return _finish(args, out, "sweep_rate_loss.manifest", entries, outputs)
 
@@ -238,9 +243,9 @@ def cmd_sweep_protection(args) -> int:
     for n_p in args.np_levels:
         path = out / f"protection_np{n_p}.csv"
         _write_csv(path, ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"],
-                   zip(result.axis, result.series["k"], result.series["realized_rate"],
-                       result.series[f"proxy_raw_np{n_p}"],
-                       result.series[f"proxy_clamped_np{n_p}"]))
+                   [result.axis, result.series["k"], result.series["realized_rate"],
+                    result.series[f"proxy_raw_np{n_p}"],
+                    result.series[f"proxy_clamped_np{n_p}"]])
         outputs.append(path)
     return _finish(args, out, "sweep_protection.manifest", entries, outputs)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (
     FaultSpec,
-    mean_step,
+    _require_unit_interval,
     t_minus,
     t_minus_faulty,
     t_plus,
@@ -69,12 +69,18 @@ def index_to_path(i: int, n: int) -> IndexPath:
     return IndexPath(index=i, bits=bits)
 
 
+def _channel_erasure(p) -> float:
+    """p as a float in [0, 1]; -0.0 becomes 0.0, so equal values are equal bits."""
+    _require_unit_interval(p, "p")
+    return float(p) + 0.0
+
+
 def evolve_path(path: IndexPath | tuple[int, ...], p: float, fault: FaultSpec) -> float:
     """Evolve the channel erasure probability p through one index path."""
     bits = path.bits if isinstance(path, IndexPath) else tuple(path)
     n = len(bits)
     faulty_steps = fault.effective_steps(n)
-    eps = p
+    eps = _channel_erasure(p)
     for j, b in enumerate(bits):
         if j < faulty_steps:
             eps = t_plus_faulty(eps, fault.delta) if b else t_minus_faulty(eps, fault.delta)
@@ -91,8 +97,15 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
     applications. Element i - 1 of the result equals
     evolve_path(index_to_path(i, n), p, fault) bit for bit.
 
+    p is range-checked here, once; the levels then apply the arithmetic of
+    the core transfer maps in place, in the same order, without the
+    per-call checks of t_minus, t_plus and their faulty forms (every level
+    stays in [0, 1] when p and delta do).
+
     Raises
     ------
+    ValueError
+        If n < 0 or p lies outside [0, 1].
     ResourceLimitError
         If n exceeds max_exponent.
     """
@@ -103,15 +116,21 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
             f"n={n} exceeds the memory budget (max exponent {max_exponent})"
         )
     faulty_steps = fault.effective_steps(n)
-    z = np.array([p], dtype=np.float64)
+    delta = fault.delta
+    z = np.array([_channel_erasure(p)], dtype=np.float64)
+    scratch = np.empty(2**faulty_steps, dtype=np.float64)
     for j in range(n):
         nxt = np.empty(2 * z.size, dtype=np.float64)
+        minus, plus = nxt[0::2], nxt[1::2]
+        np.multiply(z, z, out=plus)
+        np.multiply(z, 2, out=minus)
+        np.subtract(minus, plus, out=minus)
         if j < faulty_steps:
-            nxt[0::2] = t_minus_faulty(z, fault.delta)
-            nxt[1::2] = t_plus_faulty(z, fault.delta)
-        else:
-            nxt[0::2] = t_minus(z)
-            nxt[1::2] = t_plus(z)
+            # x + (1 - x)*delta on both children at once
+            lost = scratch[:nxt.size]
+            np.subtract(1, nxt, out=lost)
+            np.multiply(lost, delta, out=lost)
+            np.add(nxt, lost, out=nxt)
         z = nxt
     return z
 
@@ -145,6 +164,8 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
     formula; "auto" enumerates when feasible and otherwise falls back to
     the closed form (the fallback is exact, not an approximation).
     """
+    p = _channel_erasure(p)
+    _require_unit_interval(delta, "delta")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if method not in ("auto", "enumerate", "closed-form"):
@@ -152,7 +173,6 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
     if method == "auto":
         method = "enumerate" if steps <= enumeration_cap else "closed-form"
     if method == "closed-form":
-        _ = mean_step(p, delta)  # range checks
         return float(1.0 - (1.0 - p) * (1.0 - delta) ** steps)
     if steps > enumeration_cap:
         raise ResourceLimitError(

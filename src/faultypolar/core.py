@@ -2,7 +2,9 @@
 
 All functions accept scalars or numpy arrays and evaluate elementwise.
 Probabilities outside [0, 1] are rejected rather than clamped so that caller
-bugs surface immediately.
+bugs surface immediately. These checks guard the public calls;
+construction.evolve_all checks p once at its entry and then runs the same
+arithmetic in place without them.
 """
 
 from __future__ import annotations

@@ -89,6 +89,16 @@ def test_staircase_properties():
     assert np.all(staircase(6, 1.0, fault).series["z"] == 1.0)
 
 
+def test_sweeps_sort_values_as_a_stable_sort_does():
+    # n = 20 is above the sizes where numpy's sorts take separate code paths
+    fault = FaultSpec(delta=1e-6)
+    expected = np.sort(evolve_all(20, 0.5, fault), kind="stable")
+    assert staircase(20, 0.5, fault).series["z"].tobytes() == expected.tobytes()
+    result = fer_vs_rate_sweep(20, 0.5, fault)
+    prefix = np.cumsum(expected)
+    assert result.series["proxy_raw"].tobytes() == prefix[result.series["k"] - 1].tobytes()
+
+
 def test_protection_sweep_ordering():
     result = protection_sweep(10, 0.5, 1e-6, range(6))
     for n_p in range(5):

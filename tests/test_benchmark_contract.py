@@ -30,3 +30,27 @@ def test_traced_workload_measures_every_layer(workload, tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["exit_codes"] and set(report["exit_codes"]) == {0}, proc.stderr[-4000:]
     assert report["trace"]["unmeasured"] == []
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench/workloads.py and perfbench/verify.py, imported as run.py does."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import verify
+    import workloads
+
+    return workloads, verify
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed0_outputs_match_the_benchmark_goldens(workload, perfbench, tmp_path):
+    # perfbench/golden.json pins sizes (n = 14..20, nu up to 20) above those
+    # of tests/test_golden.py, where other code paths of numpy can run.
+    workloads, verify = perfbench
+    from faultypolar.cli import main
+
+    golden = verify.golden_hashes()[workload]
+    for command in workloads.build(workload, 0).commands:
+        assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0, command.argv
+        _, problems = verify.check_command(command, tmp_path, golden)
+        assert problems == [], command.argv

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from faultypolar.cli import main, parse_float_list, parse_int_spec
+from faultypolar.cli import _fmt, _write_csv, main, parse_float_list, parse_int_spec
 
 
 def run_cli(args, tmp_path):
@@ -58,6 +58,24 @@ def test_invalid_value_is_usage_error(tmp_path):
     rc = run_cli(["construct", "--n", "2", "--p", "1.5", "--delta", "0",
                   "--rate", "0.5"], tmp_path)
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    # n = 0 runs no transfer step, so only a check at the entry catches p
+    ["sweep", "staircase", "--n", "0", "--p", "1.5", "--delta", "0"],
+    ["sweep", "staircase", "--n", "0", "--p", "nan", "--delta", "0"],
+    ["sweep", "rate-loss", "--p", "-0.5", "--deltas", "0.1", "--nu", "0"],
+])
+def test_channel_erasure_out_of_range_is_usage_error(args, tmp_path):
+    assert run_cli(args, tmp_path) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_zero_channel_erasure_writes_no_negative_zero(tmp_path):
+    rc = run_cli(["construct", "--n", "3", "--p", "-0.0", "--delta", "0",
+                  "--nu", "0", "--rate", "0.5"], tmp_path)
+    assert rc == 0
+    assert "-0" not in (tmp_path / "reliabilities.csv").read_text()
 
 
 def test_resource_error_exit_code(tmp_path):
@@ -203,3 +221,29 @@ def test_csv_floats_round_trip(tmp_path):
     rows = read_csv(tmp_path / "reliabilities.csv")
     parsed = np.array([float(r["z"]) for r in rows])
     assert np.array_equal(parsed, z)  # 17 significant digits round-trip doubles
+
+
+def _write_csv_rows(path, header, rows):
+    """Reference writer: the csv module, row by row, one _fmt per cell."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row])
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["index", "frozen"],
+     [np.arange(1, 9, dtype=np.int64),
+      np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=bool).astype(np.int64)]),
+    (["index", "z"],
+     [np.arange(1, 8), np.array([0.0, 5e-324, 1 / 3, 1.0, 1e16, np.inf, 0.1])]),
+    # sim.csv: one row of Python ints and floats
+    (["frames", "frame_erasures", "fer", "ber", "fer_lo95", "fer_hi95", "proxy_sum"],
+     [[819], [402], [402 / 819], [0.0123], [0.0], [1.0], [1.7320508075688772]]),
+    (["index", "z"], []),
+])
+def test_write_csv_matches_the_row_writer(header, columns, tmp_path):
+    _write_csv(tmp_path / "cols.csv", header, columns)
+    _write_csv_rows(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -146,6 +146,39 @@ def test_all_faulty_paths_stay_above_delta():
                 above = above or eps >= floor
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, 1e-300, 0.41])
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_u", [None, 0, 3])
+def test_evolve_all_equals_evolve_path_bitwise_at_the_edges(p, delta, n_u):
+    fault = FaultSpec(delta=delta, unprotected_steps=n_u)
+    for n in range(0, 9):
+        paths = [evolve_path(index_to_path(i, n), p, fault) for i in range(1, 2**n + 1)]
+        assert evolve_all(n, p, fault).tobytes() == np.array(paths).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
+def test_channel_erasure_is_checked_at_entry(p):
+    fault = FaultSpec(delta=0.1)
+    with pytest.raises(ValueError):
+        evolve_all(0, p, fault)
+    with pytest.raises(ValueError):
+        evolve_path((), p, fault)
+    for method in ("auto", "enumerate", "closed-form"):
+        with pytest.raises(ValueError):
+            expected_epsilon(p, 0.1, 0, method=method)
+    with pytest.raises(ValueError):
+        rate_loss(p, 0.1, 0)
+
+
+def test_negative_zero_channel_erasure_reads_as_zero():
+    # sorted values in [0, 1] are then unique bit patterns
+    for fault in (FaultSpec(), FaultSpec(delta=0.0, unprotected_steps=0)):
+        z = evolve_all(3, -0.0, fault)
+        assert not np.signbit(z).any()
+        assert not np.signbit(evolve_path((0, 0, 0), -0.0, fault))
+    assert not np.signbit(expected_epsilon(-0.0, 0.0, 0))
+
+
 def test_evolve_all_resource_error():
     with pytest.raises(ResourceLimitError):
         evolve_all(25, 0.5, FaultSpec())

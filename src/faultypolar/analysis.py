@@ -7,13 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (
+    DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_EXPONENT,
     CodeConstruction,
+    _code_dimension,
+    _levels,
+    _root,
     evolve_all,
     pe_counts,
     rate_loss,
 )
-from .core import FaultSpec
+from .core import FaultSpec, _require_unit_interval
 
 DEFAULT_RATE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
@@ -52,16 +56,18 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Codes at every rate share one reliability vector: the proxy at rate
     k/N is the prefix sum of the ascending-sorted Z values. evolve_all
     admits no NaN and no -0.0, so equal values are equal bits and any sort
-    algorithm gives the same array; numpy's default is the fastest.
+    algorithm gives the same array; numpy's default is the fastest. The
+    sum stops at the largest k; cumsum is sequential, so its values are
+    those of the full sum.
     """
     size = z.size
-    prefix = np.cumsum(np.sort(z))
     ks = np.empty(len(rates), dtype=np.int64)
     for idx, rate in enumerate(rates):
-        k = round(rate * size)
+        k = _code_dimension(rate, size)
         if not 0 < k < size:
             raise ValueError(f"rate {rate} gives k={k}, outside 1..{size - 1}")
         ks[idx] = k
+    prefix = np.cumsum(np.sort(z)[:ks.max(initial=0)])
     return ks, ks / size, prefix[ks - 1]
 
 
@@ -101,20 +107,35 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None,
                      max_exponent: int = DEFAULT_MAX_EXPONENT) -> SweepResult:
     """One FER-proxy-vs-rate series per protected level count n_p.
 
-    Each n_p maps to n_u = (n + 1) - n_p unprotected transitions; the
-    metadata records the protected PE fraction for each series.
+    Each n_p maps to n_u = (n + 1) - n_p unprotected transitions, of which
+    min(n_u, n) are faulty; the metadata records the protected PE fraction
+    for each series.
+
+    All series share one all-faulty trunk recursion: the code with s
+    faulty steps is trunk level s grown fault-free to level n, which is
+    evolve_all for that n_p bit for bit. Each distinct s is grown, sorted
+    and summed once, so repeated n_p values, and n_p = 0 and 1 (both give
+    s = n), cost one series.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
     n_p_values = tuple(n_p_values)
     if not n_p_values:
         raise ValueError("n_p_values must not be empty")
+    faulty = {n_p: FaultSpec.from_protected_levels(n, n_p, delta).effective_steps(n)
+              for n_p in n_p_values}
+    branches = set(faulty.values())
+    trunk_steps = max(branches)
+    points = {}
+    for steps, level in enumerate(_levels(_root(n, p, max_exponent), trunk_steps,
+                                          delta, trunk_steps)):
+        if steps in branches:
+            for z in _levels(level, n - steps, delta, 0):
+                pass
+            points[steps] = _rate_points(z, rates)
     series: dict[str, np.ndarray] = {}
     fractions = {}
-    ks = realized = None
     for n_p in n_p_values:
-        fault = FaultSpec.from_protected_levels(n, n_p, delta)
-        z = evolve_all(n, p, fault, max_exponent=max_exponent)
-        ks, realized, proxy = _rate_points(z, rates)
+        ks, realized, proxy = points[faulty[n_p]]
         series[f"proxy_raw_np{n_p}"] = proxy
         series[f"proxy_clamped_np{n_p}"] = np.minimum(proxy, 1.0)
         fractions[int(n_p)] = pe_counts(n, n_p).fraction
@@ -132,15 +153,33 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
     """Rate loss against the unprotected transition count, one series per delta.
 
     Emits the raw loss and the percentage-of-capacity view used alongside
-    capacity C = 1 - p.
+    capacity C = 1 - p. Each value equals rate_loss(p, delta, n_u) bit for
+    bit. For n_u up to DEFAULT_ENUMERATION_CAP the mean E[eps_{n_u}] is
+    level n_u of one all-faulty recursion per delta, averaged on the way;
+    that recursion stops at the largest such n_u. Larger n_u take the
+    closed form, as rate_loss does.
     """
     n_u_arr = np.asarray(list(n_u_values), dtype=np.int64)
     capacity = 1.0 - p
     if capacity <= 0.0:
         raise ValueError("p must be below 1 so the capacity view is defined")
+    enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
+    steps = int(enumerated.max(initial=0))
     series: dict[str, np.ndarray] = {}
     for delta in deltas:
-        losses = np.array([rate_loss(p, delta, int(nu)) for nu in n_u_arr])
+        losses = np.empty(n_u_arr.size, dtype=np.float64)
+        if n_u_arr.size:
+            root = _root(steps, p, DEFAULT_ENUMERATION_CAP)
+            _require_unit_interval(delta, "delta")
+            if n_u_arr.min() < 0:
+                raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
+            means = [float(np.mean(z)) for z in _levels(root, steps, delta, steps)]
+            for idx, nu in enumerate(n_u_arr.tolist()):
+                if nu <= DEFAULT_ENUMERATION_CAP:
+                    # rate_loss's clamp of the delta = 0 rounding residue
+                    losses[idx] = max(means[nu] - p, 0.0)
+                else:
+                    losses[idx] = rate_loss(p, delta, nu)
         series[f"delta_r_{delta:g}"] = losses
         series[f"pct_capacity_{delta:g}"] = 100.0 * losses / capacity
     return SweepResult(

@@ -27,7 +27,7 @@ from .analysis import (
     staircase,
 )
 from .analysis import fer_proxy as _fer_proxy
-from .construction import construct_code
+from .construction import _code_dimension, construct_code
 from .core import INDEPENDENT_TREE, FaultSpec
 from .errors import InternalInvariantError, ResourceLimitError
 from .montecarlo import SimConfig, run_simulation
@@ -132,7 +132,7 @@ def _finish(args, out: Path, manifest_name: str, entries: dict,
 def cmd_construct(args) -> int:
     n = args.n
     size = 2**n
-    k = round(args.rate * size)
+    k = _code_dimension(args.rate, size)
     fault = _fault_from_args(args, n)
     entries = _manifest_base(args, "construct")
     entries["k"] = k
@@ -153,7 +153,7 @@ def cmd_construct(args) -> int:
 def cmd_simulate(args) -> int:
     n = args.n
     size = 2**n
-    k = round(args.rate * size)
+    k = _code_dimension(args.rate, size)
     mode = args.mode.replace("-", "_")
     fault = _fault_from_args(args, n, mode=mode)
     entries = _manifest_base(args, "simulate")

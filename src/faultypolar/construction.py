@@ -9,6 +9,7 @@ faulty when j < min(n_u, n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,8 +32,10 @@ VARIABLE = "variable"
 # at the widest level).
 DEFAULT_MAX_EXPONENT = 24
 
-# Largest path count expected_epsilon enumerates before switching to the
-# closed form.
+# Largest step count (2**20 paths) whose mean expected_epsilon and
+# analysis.rate_loss_sweep take by enumeration; above it both evaluate the
+# closed form. rate_loss_sweep runs one recursion per delta up to
+# min(largest n_u, this cap) and averages each level on the way.
 DEFAULT_ENUMERATION_CAP = 20
 
 
@@ -89,6 +92,55 @@ def evolve_path(path: IndexPath | tuple[int, ...], p: float, fault: FaultSpec) -
     return float(eps)
 
 
+# A faulty level gets its fault term this many doubles at a time, so the
+# temporary stays in cache (256 KiB).
+_FAULT_BLOCK = 2**15
+
+
+def _root(n: int, p, max_exponent: int) -> np.ndarray:
+    """Level 0 of an n-step recursion, [p], after the checks of evolve_all."""
+    if n < 0:
+        raise ValueError(f"exponent n must be nonnegative, got {n}")
+    if n > max_exponent:
+        raise ResourceLimitError(
+            f"n={n} exceeds the memory budget (max exponent {max_exponent})"
+        )
+    return np.array([_channel_erasure(p)], dtype=np.float64)
+
+
+def _add_faults(level: np.ndarray, delta: float) -> None:
+    """x + (1 - x)*delta on every element of level, in place."""
+    for start in range(0, level.size, _FAULT_BLOCK):
+        block = level[start:start + _FAULT_BLOCK]
+        lost = np.subtract(1, block)
+        np.multiply(lost, delta, out=lost)
+        np.add(block, lost, out=block)
+
+
+def _levels(z: np.ndarray, steps: int, delta: float, faulty_steps: int):
+    """Yield the level z, then each of the `steps` levels grown from it.
+
+    The density-evolution kernel of this package. Of the steps, the first
+    faulty_steps are faulty. Each level applies the arithmetic of the core
+    transfer maps in place, in the same order, without their per-call
+    checks: callers check p and delta once (every level stays in [0, 1]
+    when they lie there). Every level is a fresh contiguous array twice the
+    size of the one before, so a caller may keep any level it is given;
+    the generator holds nothing else between levels.
+    """
+    yield z
+    for j in range(steps):
+        nxt = np.empty(2 * z.size, dtype=np.float64)
+        minus, plus = nxt[0::2], nxt[1::2]
+        np.multiply(z, z, out=plus)
+        np.multiply(z, 2, out=minus)
+        np.subtract(minus, plus, out=minus)
+        if j < faulty_steps:
+            _add_faults(nxt, delta)
+        z = nxt
+        yield z
+
+
 def evolve_all(n: int, p: float, fault: FaultSpec,
                max_exponent: int = DEFAULT_MAX_EXPONENT) -> np.ndarray:
     """Compute all N = 2**n reliability values Z_1..Z_N.
@@ -97,10 +149,10 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
     applications. Element i - 1 of the result equals
     evolve_path(index_to_path(i, n), p, fault) bit for bit.
 
-    p is range-checked here, once; the levels then apply the arithmetic of
-    the core transfer maps in place, in the same order, without the
-    per-call checks of t_minus, t_plus and their faulty forms (every level
-    stays in [0, 1] when p and delta do).
+    n and p are checked here, once; the result is the last level of
+    _levels, the package's one density-evolution recursion. Level j of
+    the all-faulty recursion is evolve_all(j) under the same delta, so the
+    sweeps in analysis read several results off one recursion.
 
     Raises
     ------
@@ -109,30 +161,17 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
     ResourceLimitError
         If n exceeds max_exponent.
     """
-    if n < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if n > max_exponent:
-        raise ResourceLimitError(
-            f"n={n} exceeds the memory budget (max exponent {max_exponent})"
-        )
-    faulty_steps = fault.effective_steps(n)
-    delta = fault.delta
-    z = np.array([_channel_erasure(p)], dtype=np.float64)
-    scratch = np.empty(2**faulty_steps, dtype=np.float64)
-    for j in range(n):
-        nxt = np.empty(2 * z.size, dtype=np.float64)
-        minus, plus = nxt[0::2], nxt[1::2]
-        np.multiply(z, z, out=plus)
-        np.multiply(z, 2, out=minus)
-        np.subtract(minus, plus, out=minus)
-        if j < faulty_steps:
-            # x + (1 - x)*delta on both children at once
-            lost = scratch[:nxt.size]
-            np.subtract(1, nxt, out=lost)
-            np.multiply(lost, delta, out=lost)
-            np.add(nxt, lost, out=nxt)
-        z = nxt
+    root = _root(n, p, max_exponent)
+    for z in _levels(root, n, fault.delta, fault.effective_steps(n)):
+        pass
     return z
+
+
+def _code_dimension(rate, size: int) -> int:
+    """k = round(rate * size); a non-finite rate is a ValueError, not a crash."""
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate!r}")
+    return round(rate * size)
 
 
 def design_code(reliabilities, k: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -159,10 +198,13 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
     closed form 1 - (1 - p)*(1 - delta)**steps because the per-step mean is
     affine in eps.
 
-    method "enumerate" averages over all paths and raises
-    ResourceLimitError above enumeration_cap; "closed-form" evaluates the
-    formula; "auto" enumerates when feasible and otherwise falls back to
-    the closed form (the fallback is exact, not an approximation).
+    method "enumerate" averages over all paths, the last level of the
+    all-faulty recursion evolve_all runs, and raises ResourceLimitError
+    above enumeration_cap; "closed-form" evaluates the formula; "auto"
+    enumerates when feasible and otherwise falls back to the closed form
+    (the fallback is exact, not an approximation, though the last digits
+    differ). analysis.rate_loss_sweep reads the same means off one
+    recursion per delta.
     """
     p = _channel_erasure(p)
     _require_unit_interval(delta, "delta")
@@ -178,8 +220,9 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
         raise ResourceLimitError(
             f"enumeration over 2**{steps} paths exceeds the cap 2**{enumeration_cap}"
         )
-    fault = FaultSpec(delta=delta, unprotected_steps=None)
-    return float(np.mean(evolve_all(steps, p, fault, max_exponent=enumeration_cap)))
+    for z in _levels(np.array([p], dtype=np.float64), steps, delta, steps):
+        pass
+    return float(np.mean(z))
 
 
 def rate_loss(p: float, delta: float, n_u: int, method: str = "auto") -> float:

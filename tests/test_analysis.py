@@ -1,11 +1,14 @@
 """Sweeps: proxy oracle, blocklength/protection phenomena, rate-loss closed form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from faultypolar import (
     DEFAULT_RATE_GRID,
     FaultSpec,
+    ResourceLimitError,
     SweepResult,
     construct_code,
     erasure_floor,
@@ -14,9 +17,12 @@ from faultypolar import (
     fer_vs_rate_sweep,
     pe_counts,
     protection_sweep,
+    rate_loss,
     rate_loss_sweep,
     staircase,
 )
+from faultypolar.analysis import _rate_points
+from faultypolar.construction import DEFAULT_MAX_EXPONENT
 
 
 def test_fer_proxy_examples():
@@ -153,3 +159,136 @@ def test_metadata_regenerates_result():
                               FaultSpec(delta=meta["delta"],
                                         unprotected_steps=meta["unprotected_steps"]))
     assert np.array_equal(first.series["proxy_raw"], again.series["proxy_raw"])
+
+
+# The sweeps read several results off one density-evolution recursion. The
+# references below compute each point on its own, with its own evolve_all or
+# rate_loss call.
+
+def _rate_loss_reference(p, deltas, n_u_values):
+    """rate_loss_sweep's series, one rate_loss call per (delta, n_u)."""
+    capacity = 1.0 - p
+    if capacity <= 0.0:
+        raise ValueError("p must be below 1")
+    series = {}
+    for delta in deltas:
+        losses = np.array([rate_loss(p, delta, int(nu)) for nu in n_u_values],
+                          dtype=np.float64)
+        series[f"delta_r_{delta:g}"] = losses
+        series[f"pct_capacity_{delta:g}"] = 100.0 * losses / capacity
+    return series
+
+
+def _protection_reference(n, p, delta, n_p_values, rates=DEFAULT_RATE_GRID,
+                          max_exponent=DEFAULT_MAX_EXPONENT):
+    """protection_sweep's series, one evolve_all per n_p."""
+    if not n_p_values:
+        raise ValueError("n_p_values must not be empty")
+    series = {}
+    for n_p in n_p_values:
+        fault = FaultSpec.from_protected_levels(n, n_p, delta)
+        z = evolve_all(n, p, fault, max_exponent=max_exponent)
+        ks, realized, proxy = _rate_points(z, rates)
+        series[f"proxy_raw_np{n_p}"] = proxy
+        series[f"proxy_clamped_np{n_p}"] = np.minimum(proxy, 1.0)
+    return {"k": ks, "realized_rate": realized, **series}
+
+
+def _assert_same_series(actual, expected):
+    assert list(actual) == list(expected)
+    for name, values in expected.items():
+        assert actual[name].dtype == values.dtype, name
+        assert actual[name].tobytes() == values.tobytes(), name
+
+
+NU_LISTS = ([25, 0, 20, 3, 3, 21], list(range(1, 21)), [])
+
+
+# at p = 0.45 and delta = 0 some means fall below p and the loss is clamped
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.45, 0.5])
+@pytest.mark.parametrize("n_u_values", NU_LISTS)
+def test_rate_loss_sweep_matches_per_point_rate_loss(p, n_u_values):
+    deltas = (0.0, 1e-5, 0.5, 1.0)
+    result = rate_loss_sweep(p, deltas, n_u_values)
+    _assert_same_series(result.series, _rate_loss_reference(p, deltas, n_u_values))
+    assert result.axis.tolist() == n_u_values
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("n", range(11))
+def test_protection_sweep_matches_per_level_count_loop(n, delta):
+    size = 2**n
+    # every k once, in descending order; none at n = 0
+    rates = [k / size for k in range(size - 1, 0, -1)]
+    n_p_values = [*range(n + 2), n + 1, 0, 1]
+    result = protection_sweep(n, 0.4, delta, n_p_values, rates=rates)
+    expected = _protection_reference(n, 0.4, delta, n_p_values, rates=rates)
+    _assert_same_series(result.series, expected)
+    assert result.metadata["n_p_values"] == tuple(n_p_values)
+    assert result.metadata["protected_fraction"] == {
+        n_p: pe_counts(n, n_p).fraction for n_p in n_p_values}
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((25, 0.5, 1e-3, [0]), {}, ResourceLimitError),
+    ((6, 0.5, 1e-3, [0]), {"max_exponent": 5}, ResourceLimitError),
+    ((-1, 0.5, 1e-3, [0]), {}, ValueError),
+    ((6, 1.5, 1e-3, [0]), {}, ValueError),
+    ((6, float("nan"), 1e-3, [0]), {}, ValueError),
+    ((6, 0.5, -0.1, [0]), {}, ValueError),
+    ((6, 0.5, 1.5, [3]), {}, ValueError),
+    ((6, 0.5, 1e-3, [8]), {}, ValueError),
+    ((6, 0.5, 1e-3, [2, -1]), {}, ValueError),
+    ((6, 0.5, 1e-3, []), {}, ValueError),
+    ((6, 0.5, 1e-3, [0]), {"rates": [0.001]}, ValueError),
+])
+def test_protection_sweep_raises_as_the_per_level_loop(args, kwargs, error):
+    with pytest.raises(error):
+        _protection_reference(*args, **kwargs)
+    with pytest.raises(error):
+        protection_sweep(*args, **kwargs)
+
+
+@pytest.mark.parametrize("args", [
+    (-0.1, [1e-3], [1, 2]),
+    (1.0, [1e-3], [1, 2]),
+    (1.5, [1e-3], [1]),
+    (float("nan"), [1e-3], [1]),
+    (0.5, [1e-3, -0.1], [1]),
+    (0.5, [2.0], [25]),
+    (0.5, [1e-3], [3, -1]),
+    (0.5, [1e-3], [25, -1]),
+])
+def test_rate_loss_sweep_raises_as_per_point_rate_loss(args):
+    with pytest.raises(ValueError):
+        _rate_loss_reference(*args)
+    with pytest.raises(ValueError):
+        rate_loss_sweep(*args)
+
+
+def test_rate_loss_sweep_without_points_checks_as_before():
+    # no n_u, or no delta: nothing is evaluated, so p and delta go unchecked
+    for args in ((0.5, [2.0], []), (-0.5, [], [1, 2])):
+        _assert_same_series(rate_loss_sweep(*args).series, _rate_loss_reference(*args))
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_protection_sweep_memory_within_one_level_of_the_loop():
+    n, n_p_values = 16, range(0, 18)
+    reference = _traced_peak(_protection_reference, n, 0.5, 1e-6, n_p_values)
+    shared = _traced_peak(protection_sweep, n, 0.5, 1e-6, n_p_values)
+    assert shared <= reference + 2**n * 8
+
+
+def test_rate_loss_sweep_recursion_stops_at_the_enumeration_cap():
+    single = _traced_peak(evolve_all, 20, 0.5, FaultSpec(delta=1e-3))
+    for n_u_values in ([1000], [20, 1000]):
+        assert _traced_peak(rate_loss_sweep, 0.5, [1e-3], n_u_values) <= single + 64 * 1024

@@ -84,6 +84,22 @@ def test_resource_error_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["construct", "--n", "3", "--p", "0.5", "--delta", "0", "--rate", "inf"],
+    ["construct", "--n", "3", "--p", "0.5", "--delta", "0", "--rate=-inf",
+     "--manifest-only"],
+    ["simulate", "--n", "3", "--p", "0.5", "--delta", "0", "--rate", "inf",
+     "--trials", "10"],
+    ["sweep", "fer-rate", "--n", "4", "--rates", "0.5,inf"],
+    ["sweep", "protection", "--n", "4", "--delta", "1e-3", "--np", "0..2",
+     "--rates", "inf"],
+])
+def test_non_finite_rate_is_usage_error(args, tmp_path, capsys):
+    assert run_cli(args, tmp_path) == 2
+    assert "rate must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_trivial_cases(tmp_path):
     rc = run_cli(["simulate", "--n", "4", "--p", "0", "--delta", "0",
                   "--rate", "0.5", "--trials", "100"], tmp_path)

@@ -89,6 +89,35 @@ DESIGN_GOLDENS = {
          "protection_np4.csv": "8930dacdcf86b44740c7eb19c7a20f468743e37aecc0dd0d62bb6df7c32c3818",
          "protection_np5.csv": "562642e564cb1ece35a2df373adb0d782ec8a69acb11cbd31e2a6153029d6622"},
     ),
+    # closed form past the enumeration cap (nu 21, 25), nu = 0, unsorted and
+    # repeated nu, and the delta = 0 rounding residue of the closed form
+    "rate-loss-edges": (
+        ["sweep", "rate-loss", "--p", "0.3", "--deltas", "0,1e-3,0.5,1",
+         "--nu", "25,0,20,3,3,21"],
+        {"rate_loss_delta_0.csv":
+             "c3fcd9eb24d32c0f1c17841a1c5780d3bf192b260312ac4eaf57d6b756a8a2eb",
+         "rate_loss_delta_0.001.csv":
+             "e04b28edb9d812815a1aa0ffdaa386eca2d11fa8412e4b53281c03f40526631b",
+         "rate_loss_delta_0.5.csv":
+             "0fb16a9e234798d54e9fa109d220cbc7f701c635fa764e59d249dbf06f9af2c3",
+         "rate_loss_delta_1.csv":
+             "ae63a638856bd4b9d1af90dee82856c3c5ae65a779908955de32365a8a2ca4db"},
+    ),
+    # at p = 0.45 the enumerated means at nu = 5, 6 fall below p by a
+    # rounding residue, which the rate loss clamps to 0
+    "rate-loss-clamp": (
+        ["sweep", "rate-loss", "--p", "0.45", "--deltas", "0", "--nu", "4..6"],
+        {"rate_loss_delta_0.csv":
+             "83a8bdf86207e67fa082fff0e2b23c9516a53d3ada81dd86b7e393ffa13ae1dc"},
+    ),
+    # unsorted and repeated n_p, and n_p = n + 1 (every level protected)
+    "protection-edges": (
+        ["sweep", "protection", "--n", "10", "--delta", "1e-3", "--np", "11,5,0,1,5"],
+        {"protection_np0.csv": "c1f0600243c196253ef695f61059aad0e67d12be64a91d9478c19f60e581c57f",
+         "protection_np1.csv": "c1f0600243c196253ef695f61059aad0e67d12be64a91d9478c19f60e581c57f",
+         "protection_np5.csv": "418538b91726da48bbf5e8836b29bc336d1768be58270c2444f2bc4af018b04d",
+         "protection_np11.csv": "634ef18e9add07d7af66672ecfa605888359acb9b91a93ea18bafb4b0569cd85"},
+    ),
 }
 
 SC_DECODE_GOLDENS = {

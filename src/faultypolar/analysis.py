@@ -158,6 +158,10 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
     level n_u of one all-faulty recursion per delta, averaged on the way;
     that recursion stops at the largest such n_u. Larger n_u take the
     closed form, as rate_loss does.
+
+    A repeated delta is evolved once and gives one series. Two different
+    deltas that print the same under :g would share one series name, so
+    they are refused.
     """
     n_u_arr = np.asarray(list(n_u_values), dtype=np.int64)
     capacity = 1.0 - p
@@ -166,7 +170,10 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
     enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
     steps = int(enumerated.max(initial=0))
     series: dict[str, np.ndarray] = {}
-    for delta in deltas:
+    for delta in dict.fromkeys(deltas):
+        label = f"{delta:g}"
+        if f"delta_r_{label}" in series:
+            raise ValueError(f"two different deltas print as {label}")
         losses = np.empty(n_u_arr.size, dtype=np.float64)
         if n_u_arr.size:
             root = _root(steps, p, DEFAULT_ENUMERATION_CAP)
@@ -180,8 +187,8 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
                     losses[idx] = max(means[nu] - p, 0.0)
                 else:
                     losses[idx] = rate_loss(p, delta, nu)
-        series[f"delta_r_{delta:g}"] = losses
-        series[f"pct_capacity_{delta:g}"] = 100.0 * losses / capacity
+        series[f"delta_r_{label}"] = losses
+        series[f"pct_capacity_{label}"] = 100.0 * losses / capacity
     return SweepResult(
         axis=n_u_arr,
         series=series,

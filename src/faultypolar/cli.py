@@ -222,7 +222,7 @@ def cmd_sweep_rate_loss(args) -> int:
     result = rate_loss_sweep(args.p, args.deltas, args.nu)
     out = _out_dir(args)
     outputs = []
-    for delta in args.deltas:
+    for delta in dict.fromkeys(args.deltas):  # a repeated value is one file
         path = out / f"rate_loss_delta_{delta:g}.csv"
         _write_csv(path, ["nu", "delta_r", "pct_capacity"],
                    [result.axis, result.series[f"delta_r_{delta:g}"],
@@ -240,7 +240,7 @@ def cmd_sweep_protection(args) -> int:
                               rates=args.rates)
     out = _out_dir(args)
     outputs = []
-    for n_p in args.np_levels:
+    for n_p in dict.fromkeys(args.np_levels):  # a repeated value is one file
         path = out / f"protection_np{n_p}.csv"
         _write_csv(path, ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"],
                    [result.axis, result.series["k"], result.series["realized_rate"],

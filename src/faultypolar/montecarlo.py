@@ -10,17 +10,21 @@ thread count, so a SimConfig pins the outcome bit for bit.
 
 A chunk of trials builds one generator per role and, before each trial,
 rewinds it to that trial's counter; because Philox is counter-based this
-yields exactly the stream a freshly built generator would. Channel and
-fault uniforms are drawn in fixed-size blocks and kept only as boolean
-erasure masks (uniform < p, uniform < delta), one byte per draw. The
-decoder takes the channel-erasure mask and, without the genie, the encoded
-source word; no {-1, 0, +1} channel array is built.
+yields exactly the stream a freshly built generator would. Every draw
+reads raw 64-bit Philox words. A uniform is still (w >> 11) * 2**-53, the
+value Generator.random returns, but the test uniform < q runs on the
+integer word against a bound fixed once per chunk, so no float is made.
+Channel and fault masks (uniform < p, uniform < delta) are drawn in
+fixed-size blocks and kept as one byte per draw. Source bits are the top
+bit of each byte of the words, the values Generator.integers(0, 2,
+dtype=int8) returns. The decoder takes the channel-erasure mask and,
+without the genie, the encoded source word; no {-1, 0, +1} channel array
+is built.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,7 @@ TRIAL_BYTES_CEILING = 256 * 2**20  # memory one trial of a chunk may allocate
 
 _CHUNK_BYTES = 64 * 2**20
 _MAX_CHUNK = 20_000
-_DRAW_BLOCK = 8192  # float64 uniforms per draw call
+_DRAW_BLOCK = 8192  # raw 64-bit words per draw call
 
 
 def substream(master_seed: int, trial: int, role: int) -> np.random.Generator:
@@ -67,17 +71,42 @@ def _substream_state(master_seed: int, trial: int, role: int) -> dict:
     }
 
 
-def _draw_mask(gen: np.random.Generator, threshold: float, out: np.ndarray,
-               scratch: np.ndarray) -> None:
-    """Fill the bool row `out` with uniform < threshold, drawn in blocks.
+def _word_threshold(q: float) -> np.uint64 | None:
+    """Raw-word form of the test uniform < q, or None when every word passes.
 
-    Consecutive draws continue one stream, so the block size does not
-    change the values.
+    A uniform is a = w >> 11 scaled by 2**-53, and a * 2**-53 < q exactly
+    when a < ceil(q * 2**53), that is when w < ceil(q * 2**53) << 11. The
+    bound fits a uint64 unless ceil(q * 2**53) = 2**53 (q = 1), which every
+    word passes; at q = 0 the bound is 0, which no word passes.
     """
+    words = math.ceil(math.ldexp(q, 53)) << 11
+    return None if words >> 64 else np.uint64(words)
+
+
+def _draw_mask(bitgen: np.random.BitGenerator, threshold: np.uint64 | None,
+               out: np.ndarray) -> None:
+    """Fill the bool row `out` with uniform < q, drawn in blocks of raw words.
+
+    `threshold` is _word_threshold(q). Consecutive draws continue one
+    stream, so the block size does not change the values.
+    """
+    if threshold is None:
+        out[:] = True
+        return
     width = out.shape[0]
-    for pos in range(0, width, scratch.size):
-        m = min(scratch.size, width - pos)
-        np.less(gen.random(m, out=scratch[:m]), threshold, out=out[pos:pos + m])
+    for pos in range(0, width, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, width - pos)
+        np.less(bitgen.random_raw(m), threshold, out=out[pos:pos + m])
+
+
+def _source_bits(bitgen: np.random.BitGenerator, k: int) -> np.ndarray:
+    """k source bits, equal to Generator.integers(0, 2, size=k, dtype=np.int8).
+
+    numpy draws a bounded 8-bit integer from buffered 32-bit words, low
+    byte first, and for the range {0, 1} returns the top bit of the byte.
+    """
+    words = bitgen.random_raw(-(-k // 8)).astype("<u8", copy=False)
+    return words.view(np.uint8)[:k] >> 7
 
 
 def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
@@ -97,7 +126,7 @@ def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
     one message plane per level, and at most 6 more (channel, decision,
     the independent-tree message planes, the true-word plane and the two
     output planes). A group is paid in full even when fewer than eight
-    frames share it. Fixed scratch (the draw block and the decoder's
+    frames share it. Fixed scratch (a block of raw words and the decoder's
     packing buffers, 64 KiB each) is not counted.
     """
     size = 1 << n
@@ -194,23 +223,23 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     # genie runs draw no source word: their erasures do not depend on it
     roles = (ROLE_CHANNEL, ROLE_FAULTS) if config.genie else (
         ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
-    gens = {role: substream(seed, start, role) for role in roles}
-    states = [(gens[role].bit_generator, _substream_state(seed, start, role))
-              for role in roles]
+    bitgens = {role: substream(seed, start, role).bit_generator for role in roles}
+    states = [(bitgens[role], _substream_state(seed, start, role)) for role in roles]
+    channel_threshold = _word_threshold(config.channel_erasure)
+    fault_threshold = _word_threshold(config.fault.delta)
 
     u = None if config.genie else np.zeros((batch, size), dtype=np.int8)
     erased = np.empty((batch, size), dtype=bool)
     hits = np.empty((batch, slots), dtype=bool) if slots else None
-    scratch = np.empty(_DRAW_BLOCK, dtype=np.float64)
     for row, trial in enumerate(range(start, stop)):
         for bitgen, state in states:
             state["state"]["counter"][1] = trial
             bitgen.state = state
         if u is not None:
-            u[row, info0] = gens[ROLE_SOURCE].integers(0, 2, size=k, dtype=np.int8)
-        _draw_mask(gens[ROLE_CHANNEL], config.channel_erasure, erased[row], scratch)
+            u[row, info0] = _source_bits(bitgens[ROLE_SOURCE], k)
+        _draw_mask(bitgens[ROLE_CHANNEL], channel_threshold, erased[row])
         if slots:
-            _draw_mask(gens[ROLE_FAULTS], config.fault.delta, hits[row], scratch)
+            _draw_mask(bitgens[ROLE_FAULTS], fault_threshold, hits[row])
 
     # only the erasures count; dropping u_hat at once bounds the live planes
     decision_erased = _decode_batch(
@@ -261,6 +290,8 @@ def run_simulation(config: SimConfig, threads: int = 1,
     if threads == 1:
         results = [_run_chunk(config, s, e, slots) for s, e in bounds]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda b: _run_chunk(config, b[0], b[1], slots), bounds))
 

@@ -21,6 +21,7 @@ from faultypolar import (
     rate_loss_sweep,
     staircase,
 )
+from faultypolar import analysis
 from faultypolar.analysis import _rate_points
 from faultypolar.construction import DEFAULT_MAX_EXPONENT
 
@@ -199,6 +200,27 @@ def _assert_same_series(actual, expected):
     for name, values in expected.items():
         assert actual[name].dtype == values.dtype, name
         assert actual[name].tobytes() == values.tobytes(), name
+
+
+def test_rate_loss_sweep_evolves_a_repeated_delta_once(monkeypatch):
+    recursions = []
+    levels = analysis._levels
+
+    def counting(z, steps, delta, faulty_steps):
+        recursions.append(delta)
+        return levels(z, steps, delta, faulty_steps)
+
+    monkeypatch.setattr(analysis, "_levels", counting)
+    result = rate_loss_sweep(0.5, (1e-3, 1e-4, 0.001), range(1, 6))
+    assert recursions == [1e-3, 1e-4]
+    assert sorted(result.series) == sorted(
+        f"{kind}_{label}" for kind in ("delta_r", "pct_capacity")
+        for label in ("0.001", "0.0001"))
+
+
+def test_rate_loss_sweep_refuses_deltas_that_print_alike():
+    with pytest.raises(ValueError, match="0.123457"):
+        rate_loss_sweep(0.5, (0.1234567, 0.1234568), range(1, 4))
 
 
 NU_LISTS = ([25, 0, 20, 3, 3, 21], list(range(1, 21)), [])

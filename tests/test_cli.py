@@ -175,6 +175,45 @@ def test_sweep_rate_loss_axes(tmp_path):
         assert losses == sorted(losses)
 
 
+def _manifest_outputs(path):
+    lines = path.read_text().splitlines()
+    return [line for line in lines if line.startswith("outputs=")][0][8:].split(",")
+
+
+def test_sweep_rate_loss_repeated_delta_writes_one_file(tmp_path, capsys):
+    # 0.001 and 1e-3 are one value: one file, written and listed once
+    rc = run_cli(["sweep", "rate-loss", "--p", "0.5", "--deltas", "0.001,1e-4,1e-3",
+                  "--nu", "1..3"], tmp_path)
+    assert rc == 0
+    names = ["rate_loss_delta_0.001.csv", "rate_loss_delta_0.0001.csv"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / name}" for name in names]
+    outputs = _manifest_outputs(tmp_path / "sweep_rate_loss.manifest")
+    assert outputs == [str(tmp_path / name) for name in names]
+
+
+def test_sweep_rate_loss_deltas_printing_alike_are_usage_error(tmp_path):
+    # two different deltas that both print as 0.123457 would share a file
+    rc = run_cli(["sweep", "rate-loss", "--p", "0.5", "--deltas", "0.1234567,0.1234568",
+                  "--nu", "1..3"], tmp_path)
+    assert rc == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_protection_repeated_np_writes_one_file(tmp_path, capsys):
+    rc = run_cli(["sweep", "protection", "--n", "6", "--delta", "1e-3",
+                  "--np", "5,2,5"], tmp_path)
+    assert rc == 0
+    names = ["protection_np5.csv", "protection_np2.csv"]
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / name}" for name in names]
+    outputs = _manifest_outputs(tmp_path / "sweep_protection.manifest")
+    assert outputs == [str(tmp_path / name) for name in names]
+
+
 def test_sweep_protection_axes(tmp_path):
     rc = run_cli(["sweep", "protection", "--n", "10", "--delta", "1e-6",
                   "--np", "0..5"], tmp_path)

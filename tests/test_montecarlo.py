@@ -1,6 +1,11 @@
 """Simulation harness: determinism, statistical bounds, resource limits."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +31,10 @@ from faultypolar.montecarlo import (
     TRIALS_HARD_CAP,
     _draw_mask,
     _run_chunk,
+    _source_bits,
     _substream_state,
     _trial_bytes,
+    _word_threshold,
     substream,
 )
 
@@ -193,11 +200,71 @@ def test_rewound_generator_matches_fresh_substream(master_seed, trial):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
-def test_mask_drawn_in_blocks_equals_one_call(block):
+def test_mask_drawn_in_blocks_equals_one_call(block, monkeypatch):
     width = 1000
     out = np.empty(width, dtype=bool)
-    _draw_mask(substream(3, 8, ROLE_CHANNEL), 0.3, out, np.empty(block))
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
+    _draw_mask(substream(3, 8, ROLE_CHANNEL).bit_generator, _word_threshold(0.3), out)
     assert np.array_equal(out, substream(3, 8, ROLE_CHANNEL).random(width) < 0.3)
+
+
+EDGE_THRESHOLDS = [0.0, 5e-324, 2**-53, 0.01, 0.3, 0.5, 1 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("q", EDGE_THRESHOLDS)
+def test_word_threshold_splits_words_where_uniforms_split(q):
+    # a uniform is (w >> 11) * 2**-53; the words on either side of the
+    # bound must fall on either side of q
+    def uniform(w):
+        return (w >> 11) * 2.0**-53
+
+    threshold = _word_threshold(q)
+    if threshold is None:
+        assert q == 1.0 and uniform(2**64 - 1) < q
+        return
+    bound = int(threshold)
+    assert bound % 2**11 == 0
+    assert not uniform(bound) < q
+    if bound:
+        assert uniform(bound - 1) < q
+    else:
+        assert q == 0.0
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("q", EDGE_THRESHOLDS)
+def test_raw_word_mask_equals_float_uniforms(master_seed, q):
+    for width in (100, montecarlo._DRAW_BLOCK, 2 * montecarlo._DRAW_BLOCK + 5):
+        out = np.empty(width, dtype=bool)
+        _draw_mask(substream(master_seed, 4, ROLE_FAULTS).bit_generator,
+                   _word_threshold(q), out)
+        expected = substream(master_seed, 4, ROLE_FAULTS).random(width) < q
+        assert np.array_equal(out, expected), width
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 65, 410])
+def test_source_bits_equal_bounded_integers(master_seed, k):
+    bits = _source_bits(substream(master_seed, 11, ROLE_SOURCE).bit_generator, k)
+    expected = substream(master_seed, 11, ROLE_SOURCE).integers(0, 2, size=k, dtype=np.int8)
+    assert bits.shape == (k,)
+    assert np.array_equal(bits, expected)
+
+
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("p, delta, mode", [(1.0, 0.0, "shared"),
+                                            (0.2, 1.0, "independent_tree")])
+def test_certain_erasures_erase_every_bit(p, delta, mode, genie):
+    # p = 1 erases every channel symbol and delta = 1 hits every fault
+    # slot; neither threshold fits a raw word, so no word is drawn for it
+    config = _config(n=5, k=12, p=p, delta=delta, trials=40, seed=6, mode=mode,
+                     genie=genie)
+    outcome = run_simulation(config, chunk_size=16)
+    assert outcome.frame_erasures == 40
+    assert outcome.info_bit_erasures == 40 * 12
+    assert outcome.fer == 1.0 and outcome.ber == 1.0
+    if genie:
+        assert np.array_equal(outcome.per_bit_erasures, np.full(32, 40))
 
 
 def test_fault_row_longer_than_draw_block(monkeypatch):
@@ -359,15 +426,28 @@ def test_genie_run_draws_no_source_word(monkeypatch, mode):
     assert set(roles) == {ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS}
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only threads > 1 needs concurrent.futures; a fresh interpreter shows
+    # whether importing the CLI pulled it in
+    code = ("import sys, faultypolar.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    paths = [str(Path(montecarlo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_thread_pool_capped_at_chunk_count(monkeypatch):
     workers = []
-    pool_class = montecarlo.ThreadPoolExecutor
+    pool_class = futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         workers.append(max_workers)
         return pool_class(max_workers=max_workers)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+    # run_simulation imports the pool class only when it needs threads
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", recording_pool)
     config = _config(p=0.5, delta=1e-2, trials=100, seed=4)
     base = run_simulation(config)
     assert run_simulation(config, threads=8, chunk_size=50) == base

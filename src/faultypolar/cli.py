@@ -66,19 +66,24 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns under `header`, a whole column at a time.
+    """Write equal-length columns under `header` with one format call.
 
-    Float columns get the 17 significant digits of `_fmt`; integer columns
-    are printed as integers.
+    Each column gives one field of a row template: `%.17g` for floats, the
+    17 significant digits of `_fmt`, and `%s` for the rest, the `str` of
+    its Python value (ints as integers, bools as True/False). The cells
+    are interleaved row-major into one list, and the template repeated
+    once per row formats the whole body in a single `%`.
     """
-    cells = []
-    for column in columns:
-        column = np.asarray(column)
-        fmt = "{:.17g}".format if column.dtype.kind == "f" else str
-        cells.append(map(fmt, column.tolist()))
-    lines = [",".join(header), *map(",".join, zip(*cells))]
+    columns = [np.asarray(column) for column in columns]
+    width = len(columns)
+    rows = len(columns[0]) if columns else 0
+    template = ",".join("%.17g" if column.dtype.kind == "f" else "%s"
+                        for column in columns) + "\n"
+    cells = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        cells[j::width] = column.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + (template * rows) % tuple(cells))
 
 
 def _write_manifest(path: Path | None, entries: dict) -> None:

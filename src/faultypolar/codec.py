@@ -120,46 +120,6 @@ def variable_node(m1, m2, partial_sum):
     return out
 
 
-def inject_fault(m, delta: float, rng: np.random.Generator):
-    """Erase a non-erased message with probability delta.
-
-    The array form draws one uniform per element (erased slots included) so
-    the stream consumption is independent of the data.
-    """
-    _require_unit_interval(delta, "delta")
-    arr = np.asarray(m, dtype=np.int8)
-    if arr.ndim == 0:
-        value = int(arr)
-        if value != 0 and delta > 0 and rng.random() < delta:
-            return TernaryLLR.ERASED
-        return TernaryLLR(value)
-    if delta == 0:
-        return arr.copy()
-    mask = (arr != 0) & (rng.random(arr.shape) < delta)
-    return np.where(mask, np.int8(0), arr)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One encoded and transmitted codeword."""
-
-    u: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        u = _as_bit_array(self.u, "u")
-        x = _as_bit_array(self.x, "x")
-        y = _as_message_array(self.y, "y")
-        if not (u.shape == x.shape == y.shape):
-            raise ValueError("u, x, y must share one length")
-        if not np.array_equal(encode(u), x):
-            raise ValueError("x is not the polar transform of u")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of one successive cancellation decode.

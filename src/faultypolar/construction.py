@@ -25,9 +25,6 @@ from .core import (
 )
 from .errors import ResourceLimitError
 
-CHECK = "check"
-VARIABLE = "variable"
-
 # Largest exponent evolve_all accepts by default (N = 2**24 doubles ~ 134 MB
 # at the widest level).
 DEFAULT_MAX_EXPONENT = 24
@@ -49,10 +46,6 @@ class IndexPath:
 
     index: int
     bits: tuple[int, ...]
-
-    @property
-    def transforms(self) -> tuple[str, ...]:
-        return tuple(VARIABLE if b else CHECK for b in self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -174,20 +167,21 @@ def _code_dimension(rate, size: int) -> int:
     return round(rate * size)
 
 
-def design_code(reliabilities, k: int) -> tuple[frozenset[int], frozenset[int]]:
+def design_code(reliabilities, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Choose the k most reliable channels as the information set.
 
-    Returns (info_set, frozen_set) as 1-based index sets. Ties between equal
-    reliability values break toward the smaller index.
+    Returns (info_indices, frozen_mask): the 1-based information indices in
+    ascending order, as int64, and a bool mask over 0-based positions, True
+    where frozen. Ties between equal reliability values break toward the
+    smaller index.
     """
     z = np.asarray(reliabilities, dtype=np.float64)
     n_total = z.size
     if not 0 < k < n_total:
         raise ValueError(f"k must lie in 1..{n_total - 1}, got {k}")
-    order = np.argsort(z, kind="stable")
-    info = frozenset(int(i) + 1 for i in order[:k])
-    frozen = frozenset(range(1, n_total + 1)) - info
-    return info, frozen
+    frozen = np.ones(n_total, dtype=bool)
+    frozen[np.argsort(z, kind="stable")[:k]] = False
+    return np.flatnonzero(~frozen).astype(np.int64) + 1, frozen
 
 
 def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
@@ -261,34 +255,37 @@ def pe_counts(n: int, n_p: int) -> PECounts:
 class CodeConstruction:
     """A designed polar code: reliabilities plus the frozen/information split.
 
-    info_set and frozen_set hold 1-based channel indices; reliabilities[i-1]
-    is Z_i.
+    reliabilities[i-1] is Z_i, and frozen_mask[i-1] is True where channel i
+    is frozen. Both are stored as read-only arrays; info_indices, the
+    1-based information indices in ascending order, is derived from the
+    mask once. Every information channel is at least as reliable as every
+    frozen one.
     """
 
     n: int
     channel_erasure: float
     fault: FaultSpec
     reliabilities: np.ndarray
-    info_set: frozenset[int]
-    frozen_set: frozenset[int]
+    frozen_mask: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.reliabilities, dtype=np.float64)
-        object.__setattr__(self, "reliabilities", z)
         n_total = 2**self.n
+        z = _read_only(np.asarray(self.reliabilities, dtype=np.float64))
+        frozen = _read_only(np.asarray(self.frozen_mask))
         if z.shape != (n_total,):
             raise ValueError(f"expected {n_total} reliabilities, got shape {z.shape}")
-        if not np.all((z >= 0.0) & (z <= 1.0)):
+        if frozen.dtype != bool or frozen.shape != (n_total,):
+            raise ValueError(f"frozen_mask must be {n_total} bools, got "
+                             f"{frozen.dtype} of shape {frozen.shape}")
+        if not (z.min() >= 0.0 and z.max() <= 1.0):
             raise ValueError("reliabilities must lie in [0, 1]")
-        if self.info_set & self.frozen_set:
-            raise ValueError("info_set and frozen_set overlap")
-        if len(self.info_set) + len(self.frozen_set) != n_total:
-            raise ValueError("info_set and frozen_set must partition 1..N")
-        if self.info_set and self.frozen_set:
-            worst_info = max(z[i - 1] for i in self.info_set)
-            best_frozen = min(z[i - 1] for i in self.frozen_set)
-            if worst_info > best_frozen:
-                raise ValueError("info_set contains a less reliable channel than frozen_set")
+        info = np.flatnonzero(~frozen).astype(np.int64) + 1
+        if 0 < info.size < n_total and z[~frozen].max() > z[frozen].min():
+            raise ValueError("the information set contains a less reliable "
+                             "channel than the frozen set")
+        object.__setattr__(self, "reliabilities", z)
+        object.__setattr__(self, "frozen_mask", frozen)
+        object.__setattr__(self, "_info_indices", _read_only(info))
 
     @property
     def N(self) -> int:
@@ -296,7 +293,7 @@ class CodeConstruction:
 
     @property
     def k(self) -> int:
-        return len(self.info_set)
+        return self._info_indices.size
 
     @property
     def rate(self) -> float:
@@ -305,20 +302,20 @@ class CodeConstruction:
     @property
     def info_indices(self) -> np.ndarray:
         """Information-set indices, 1-based, ascending."""
-        return np.array(sorted(self.info_set), dtype=np.int64)
+        return self._info_indices
 
-    @property
-    def frozen_mask(self) -> np.ndarray:
-        """Boolean mask over 0-based positions, True where frozen."""
-        mask = np.ones(self.N, dtype=bool)
-        mask[self.info_indices - 1] = False
-        return mask
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr that cannot be written through; arr keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def construct_code(n: int, p: float, fault: FaultSpec, k: int,
                    max_exponent: int = DEFAULT_MAX_EXPONENT) -> CodeConstruction:
     """Run density evolution and freeze all but the k best channels."""
     z = evolve_all(n, p, fault, max_exponent=max_exponent)
-    info, frozen = design_code(z, k)
+    _, frozen = design_code(z, k)
     return CodeConstruction(n=n, channel_erasure=p, fault=fault,
-                            reliabilities=z, info_set=info, frozen_set=frozen)
+                            reliabilities=z, frozen_mask=frozen)

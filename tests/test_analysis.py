@@ -28,7 +28,7 @@ from faultypolar.construction import DEFAULT_MAX_EXPONENT
 
 def test_fer_proxy_examples():
     code = construct_code(2, 0.5, FaultSpec(), 1)
-    assert code.info_set == {4}
+    assert code.info_indices.tolist() == [4]
     assert fer_proxy(code) == pytest.approx(0.0625, abs=1e-12)
 
 

@@ -297,6 +297,13 @@ def _write_csv_rows(path, header, rows):
     (["frames", "frame_erasures", "fer", "ber", "fer_lo95", "fer_hi95", "proxy_sum"],
      [[819], [402], [402 / 819], [0.0123], [0.0], [1.0], [1.7320508075688772]]),
     (["index", "z"], []),
+    (["index", "z"], [np.arange(1, 5), np.array([np.nan, -0.0, -np.inf, 0.0])]),
+    (["index", "frozen"], [np.arange(1, 5), np.array([True, False, False, True])]),
+    (["index", "z"], [np.array([], dtype=np.int64), np.array([], dtype=np.float64)]),
+    (["index", "z"],
+     [np.arange(1, 2**15 + 1),
+      np.ldexp(np.random.default_rng(5).random(2**15),
+               np.random.default_rng(6).integers(-1074, 1000, 2**15))]),
 ])
 def test_write_csv_matches_the_row_writer(header, columns, tmp_path):
     _write_csv(tmp_path / "cols.csv", header, columns)

@@ -8,12 +8,10 @@ import pytest
 from faultypolar import (
     ERASED_BIT,
     FaultSpec,
-    Frame,
     TernaryLLR,
     check_node,
     construct_code,
     encode,
-    inject_fault,
     sc_decode,
     transmit_bec,
     variable_node,
@@ -118,37 +116,6 @@ def test_node_ops_vectorized():
     assert np.array_equal(variable_node(m1, m2, np.zeros(4, np.int8)), [1, 1, -1, 0])
 
 
-def test_inject_fault_endpoints():
-    rng = np.random.default_rng(3)
-    assert inject_fault(POS, 0.0, rng) == POS
-    assert inject_fault(POS, 1.0, rng) == ERA
-    assert inject_fault(ERA, 1.0, rng) == ERA
-    arr = np.ones(10, np.int8)
-    assert np.array_equal(inject_fault(arr, 0.0, rng), arr)
-    assert np.all(inject_fault(arr, 1.0, rng) == 0)
-
-
-def test_inject_fault_statistics():
-    rng = np.random.default_rng(4)
-    msgs = np.ones(100_000, np.int8)
-    out = inject_fault(msgs, 0.5, rng)
-    frac = np.mean(out == 0)
-    assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / msgs.size)
-    # erased inputs stay erased and never resurface
-    mixed = np.array([0, 1, -1] * 1000, np.int8)
-    out = inject_fault(mixed, 0.3, rng)
-    assert np.all(out[mixed == 0] == 0)
-    assert np.all(np.isin(out, (-1, 0, 1)))
-
-
-def test_frame_validates_consistency():
-    u = np.array([1, 0, 1, 1], np.int8)
-    x = encode(u)
-    Frame(u=u, x=x, y=(1 - 2 * x).astype(np.int8))
-    with pytest.raises(ValueError):
-        Frame(u=u, x=1 - x, y=np.zeros(4, np.int8))
-
-
 def _all_zero_code(n, k, delta=0.0):
     return construct_code(n, 0.5, FaultSpec(delta=delta), k)
 
@@ -157,7 +124,7 @@ def test_decode_trace_two_bits():
     # frozen u1, y = (erased, +inf): u1 is frozen so the erased LLR does not
     # count; u2 decodes from +inf + erased = +inf.
     code = _all_zero_code(1, 1)
-    assert code.info_set == {2}
+    assert code.info_indices.tolist() == [2]
     result = sc_decode(np.array([0, 1], np.int8), code, FaultSpec())
     assert not result.frame_erased
     assert result.first_erasure_index is None
@@ -202,7 +169,7 @@ def test_full_fault_erases_everything():
     result = sc_decode(y, code, fault, rng=rng)
     assert result.frame_erased
     assert np.all(result.u_hat == ERASED_BIT)
-    assert result.first_erasure_index == min(code.info_set)
+    assert result.first_erasure_index == code.info_indices.min()
 
 
 def test_sign_correctness_under_erasures():

@@ -40,8 +40,8 @@ def oracle_z(n, p, delta=0.0, n_u=None):
 
 
 def test_index_to_path_examples():
-    assert index_to_path(1, 2).transforms == ("check", "check")
-    assert index_to_path(4, 2).transforms == ("variable", "variable")
+    assert index_to_path(1, 2).bits == (0, 0)  # all check nodes
+    assert index_to_path(4, 2).bits == (1, 1)  # all variable nodes
     assert index_to_path(1, 0).bits == ()
     assert index_to_path(2, 2).bits == (0, 1)
 
@@ -188,11 +188,11 @@ def test_evolve_all_resource_error():
 
 def test_design_code_examples():
     info, frozen = design_code([0.9375, 0.5625, 0.4375, 0.0625], 2)
-    assert info == {3, 4} and frozen == {1, 2}
+    assert info.tolist() == [3, 4] and frozen.tolist() == [True, True, False, False]
     info, frozen = design_code([0.75, 0.25], 1)
-    assert info == {2}
+    assert info.tolist() == [2]
     info, _ = design_code([0.5, 0.5], 1)
-    assert info == {1}  # tie toward the smaller index
+    assert info.tolist() == [1]  # tie toward the smaller index
 
 
 def test_design_code_random_vectors():
@@ -201,9 +201,10 @@ def test_design_code_random_vectors():
         z = rng.random(64)
         k = int(rng.integers(1, 64))
         info, frozen = design_code(z, k)
-        assert len(info) == k and len(frozen) == 64 - k
-        assert not info & frozen
-        assert max(z[i - 1] for i in info) <= min(z[i - 1] for i in frozen)
+        assert info.dtype == np.int64 and frozen.dtype == bool
+        assert info.size == k and frozen.sum() == 64 - k
+        assert not frozen[info - 1].any()
+        assert z[info - 1].max() <= z[frozen].min()
     with pytest.raises(ValueError):
         design_code(z, 0)
     with pytest.raises(ValueError):
@@ -272,21 +273,70 @@ def test_code_construction_invariants():
     fault = FaultSpec(delta=1e-6)
     code = construct_code(6, 0.5, fault, 32)
     assert code.N == 64 and code.k == 32 and code.rate == 0.5
-    assert len(code.info_set | code.frozen_set) == 64
-    assert max(code.reliabilities[i - 1] for i in code.info_set) <= \
-        min(code.reliabilities[i - 1] for i in code.frozen_set)
     mask = code.frozen_mask
+    assert mask.shape == (64,) and mask.dtype == bool
+    info = code.info_indices
+    assert info.dtype == np.int64 and np.all(np.diff(info) > 0)
+    assert np.array_equal(info, np.flatnonzero(~mask) + 1)
+    assert code.reliabilities[info - 1].max() <= code.reliabilities[mask].min()
     assert mask.sum() == 32
     assert not mask[code.info_indices - 1].any()
 
 
 def test_code_construction_rejects_bad_sets():
     z = evolve_all(2, 0.5, FaultSpec())
+
+    def build(reliabilities, frozen_mask):
+        return CodeConstruction(n=2, channel_erasure=0.5, fault=FaultSpec(),
+                                reliabilities=reliabilities, frozen_mask=frozen_mask)
+
+    build(z, np.array([True, True, False, False]))
+    # the information set {1, 2} is less reliable than the frozen set {3, 4}
     with pytest.raises(ValueError):
-        CodeConstruction(n=2, channel_erasure=0.5, fault=FaultSpec(),
-                         reliabilities=z, info_set=frozenset({1, 2}),
-                         frozen_set=frozenset({3, 4}))
+        build(z, np.array([False, False, True, True]))
+    # a mask that does not cover 1..N exactly, or is not boolean
     with pytest.raises(ValueError):
-        CodeConstruction(n=2, channel_erasure=0.5, fault=FaultSpec(),
-                         reliabilities=z, info_set=frozenset({3, 4}),
-                         frozen_set=frozenset({1, 2, 4}))
+        build(z, np.array([True, True, False]))
+    with pytest.raises(ValueError):
+        build(z, np.array([1, 1, 0, 0]))
+    with pytest.raises(ValueError):
+        build(z[:3], np.array([True, True, False]))
+    # reliabilities outside [0, 1], NaN included, each in an order the
+    # mask would otherwise accept
+    for bad in ([1.5, 0.5, 0.25, 0.0], [1.0, 0.5, 0.25, -0.25], [np.nan, 0.5, 0.25, 0.0]):
+        with pytest.raises(ValueError):
+            build(np.array(bad), np.array([True, True, False, False]))
+
+
+def _design_code_frozensets(reliabilities, k):
+    """The frozenset design_code this package had before it returned arrays."""
+    z = np.asarray(reliabilities, dtype=np.float64)
+    order = np.argsort(z, kind="stable")
+    info = frozenset(int(i) + 1 for i in order[:k])
+    return info, frozenset(range(1, z.size + 1)) - info
+
+
+def test_design_code_equals_the_frozenset_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        size = 2 ** int(rng.integers(1, 9))
+        # few distinct values, so most vectors are full of ties
+        z = rng.integers(0, int(rng.integers(1, 6)), size) / 4.0
+        k = int(rng.integers(1, size))
+        info, frozen = design_code(z, k)
+        ref_info, ref_frozen = _design_code_frozensets(z, k)
+        assert info.tolist() == sorted(ref_info)
+        assert np.flatnonzero(frozen).tolist() == [i - 1 for i in sorted(ref_frozen)]
+
+
+def test_code_construction_arrays_are_read_only():
+    z = evolve_all(3, 0.5, FaultSpec())
+    _, frozen = design_code(z, 4)
+    code = CodeConstruction(n=3, channel_erasure=0.5, fault=FaultSpec(),
+                            reliabilities=z, frozen_mask=frozen)
+    for arr in (code.reliabilities, code.frozen_mask, code.info_indices):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # the caller's arrays keep their flags
+    assert z.flags.writeable and frozen.flags.writeable

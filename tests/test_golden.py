@@ -54,6 +54,13 @@ SIMULATE_GOLDENS = {
         {"sim.csv": "adc5c125c4220d2991976ee6b8d3cd902170a5f32a32060ee3addf8109d14c5f",
          "perbit.csv": "c3b9578d75825a439890d19d06c81afb8dbfd8bb1c9a472d17f8e3eab5f245cd"},
     ),
+    # 8 of 400 frames erased: fer_lo95 and fer_hi95 come from the
+    # Clopper-Pearson branch of binomial_ci95, not the normal approximation
+    "clopper-pearson": (
+        ["simulate", "--n", "6", "--p", "0.1", "--delta", "0.001", "--rate", "0.25",
+         "--mode", "shared", "--trials", "400", "--seed", "29"],
+        {"sim.csv": "37da800b28274f0a161e9204784aa1a56ced77a33ef2e36288bd3613e0dbc32b"},
+    ),
 }
 
 # construct and the four sweeps of acceptance criterion 10
@@ -140,6 +147,22 @@ def _check_csv_goldens(argv, expected, out_dir):
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDENS))
 def test_simulate_csv_goldens(name, tmp_path):
     _check_csv_goldens(*SIMULATE_GOLDENS[name], tmp_path)
+
+
+def test_clopper_pearson_golden_takes_the_beta_branch(tmp_path, monkeypatch):
+    from scipy.stats import beta
+
+    calls = []
+    ppf = beta.ppf
+    monkeypatch.setattr(beta, "ppf", lambda *args: calls.append(args) or ppf(*args))
+    argv, _ = SIMULATE_GOLDENS["clopper-pearson"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    header, row = (tmp_path / "sim.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    frames, erased = int(cells["frames"]), int(cells["frame_erasures"])
+    assert min(erased, frames - erased) < 10
+    assert calls == [(0.025, erased, frames - erased + 1),
+                     (0.975, erased + 1, frames - erased)]
 
 
 @pytest.mark.parametrize("name", sorted(DESIGN_GOLDENS))

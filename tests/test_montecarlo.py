@@ -453,3 +453,25 @@ def test_thread_pool_capped_at_chunk_count(monkeypatch):
     assert run_simulation(config, threads=8, chunk_size=50) == base
     assert run_simulation(config, threads=4) == base  # one chunk: no pool
     assert workers == [2]
+
+
+@pytest.mark.parametrize("master_seed", [0, 9, 2**64 - 1])
+@pytest.mark.parametrize("mode, n, p, delta, nu, k", [
+    ("shared", 4, 0.3, 0.02, None, 8),
+    ("shared", 8, 0.35, 0.01, 5, 100),
+    ("independent_tree", 5, 0.3, 0.03, None, 16),
+    ("independent_tree", 7, 0.25, 0.01, 3, 50),
+])
+def test_genie_and_decoder_erase_the_same_frames(mode, n, p, delta, nu, k, master_seed):
+    # Until the first erased information decision the decoder's partial
+    # sums are correct, and after it the frame is erased either way, so
+    # feeding the true bits forward changes no frame's outcome.
+    fault = FaultSpec(delta=delta, unprotected_steps=nu, correlation_mode=mode)
+    code = construct_code(n, p, fault, k)
+    outcomes = [run_simulation(SimConfig(code=code, channel_erasure=p, fault=fault,
+                                         trials=300, master_seed=master_seed,
+                                         genie=genie))
+                for genie in (False, True)]
+    erased = [outcome.frame_erasures for outcome in outcomes]
+    assert 0 < erased[0] < 300
+    assert erased[0] == erased[1]

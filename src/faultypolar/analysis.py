@@ -161,12 +161,21 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
 
     A repeated delta is evolved once and gives one series. Two different
     deltas that print the same under :g would share one series name, so
-    they are refused.
+    they are refused, as is an empty delta list. p, every delta and every
+    n_u are checked on entry, so an empty n_u list checks them too.
     """
+    deltas = tuple(deltas)
     n_u_arr = np.asarray(list(n_u_values), dtype=np.int64)
     capacity = 1.0 - p
     if capacity <= 0.0:
         raise ValueError("p must be below 1 so the capacity view is defined")
+    _require_unit_interval(p, "p")
+    if not deltas:
+        raise ValueError("deltas must not be empty")
+    for delta in deltas:
+        _require_unit_interval(delta, "delta")
+    if n_u_arr.min(initial=0) < 0:
+        raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
     enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
     steps = int(enumerated.max(initial=0))
     series: dict[str, np.ndarray] = {}
@@ -175,18 +184,14 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
         if f"delta_r_{label}" in series:
             raise ValueError(f"two different deltas print as {label}")
         losses = np.empty(n_u_arr.size, dtype=np.float64)
-        if n_u_arr.size:
-            root = _root(steps, p, DEFAULT_ENUMERATION_CAP)
-            _require_unit_interval(delta, "delta")
-            if n_u_arr.min() < 0:
-                raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
-            means = [float(np.mean(z)) for z in _levels(root, steps, delta, steps)]
-            for idx, nu in enumerate(n_u_arr.tolist()):
-                if nu <= DEFAULT_ENUMERATION_CAP:
-                    # rate_loss's clamp of the delta = 0 rounding residue
-                    losses[idx] = max(means[nu] - p, 0.0)
-                else:
-                    losses[idx] = rate_loss(p, delta, nu)
+        root = _root(steps, p, DEFAULT_ENUMERATION_CAP)
+        means = [float(np.mean(z)) for z in _levels(root, steps, delta, steps)]
+        for idx, nu in enumerate(n_u_arr.tolist()):
+            if nu <= DEFAULT_ENUMERATION_CAP:
+                # rate_loss's clamp of the delta = 0 rounding residue
+                losses[idx] = max(means[nu] - p, 0.0)
+            else:
+                losses[idx] = rate_loss(p, delta, nu)
         series[f"delta_r_{label}"] = losses
         series[f"pct_capacity_{label}"] = 100.0 * losses / capacity
     return SweepResult(

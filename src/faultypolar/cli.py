@@ -5,6 +5,11 @@ floats printed to 17 significant digits so files round-trip doubles
 exactly. Every invocation writes a key=value manifest sidecar sufficient
 to regenerate its outputs bit for bit.
 
+Each command is a function that returns its tables as (file name,
+header, columns); one runner builds the manifest and the fault model,
+computes the tables, and only then writes them. Flags that several
+commands share are declared once, in _FLAGS.
+
 Exit codes: 0 success, 2 usage error, 3 resource limit, 4 internal
 invariant violation.
 """
@@ -94,25 +99,23 @@ def _write_manifest(path: Path | None, entries: dict) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _fault_from_args(args, n: int, mode: str = INDEPENDENT_TREE) -> FaultSpec:
-    if getattr(args, "np_levels", None) is not None:
-        return FaultSpec.from_protected_levels(n, args.np_levels, args.delta,
+def _fault(args) -> FaultSpec | None:
+    """The decoder fault model of a command that takes both --nu and --np."""
+    if not hasattr(args, "nu") or not hasattr(args, "np_levels"):
+        return None
+    mode = getattr(args, "mode", INDEPENDENT_TREE).replace("-", "_")
+    if args.np_levels is not None:
+        return FaultSpec.from_protected_levels(args.n, args.np_levels, args.delta,
                                                correlation_mode=mode)
     return FaultSpec(delta=args.delta, unprotected_steps=args.nu,
                      correlation_mode=mode)
 
 
-def _manifest_base(args, command: str) -> dict:
-    entries = {"command": command, "version": __version__}
+def _manifest_base(args) -> dict:
+    entries = {"command": args.label, "version": __version__}
     # the manifest pins what sets the output; threads changes none of it
-    skip = {"func", "out_dir", "manifest_only", "command", "sweep_command", "threads"}
+    skip = {"tables", "label", "out_dir", "manifest_only", "command", "sweep_command",
+            "threads"}
     for key in sorted(vars(args)):
         if key in skip:
             continue
@@ -125,152 +128,169 @@ def _manifest_base(args, command: str) -> dict:
     return entries
 
 
-def _finish(args, out: Path, manifest_name: str, entries: dict,
-            outputs: list[Path]) -> int:
+def _run(args) -> int:
+    """Check the inputs, compute every table, then write them and the manifest.
+
+    A command's tables are (file name, header, columns) triples. All of
+    them are computed before the output directory is made, so a usage
+    error leaves no file behind.
+    """
+    k = _code_dimension(args.rate, 2**args.n) if hasattr(args, "rate") else None
+    fault = _fault(args)
+    entries = _manifest_base(args)
+    if k is not None:
+        entries["k"] = k
+    if args.manifest_only:
+        _write_manifest(None, entries)
+        return EXIT_OK
+    tables = args.tables(args, fault, k)
+    out = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for name, header, columns in tables:
+        path = out / name
+        _write_csv(path, header, columns)
+        outputs.append(path)
     entries["outputs"] = ",".join(str(p) for p in outputs)
+    manifest_name = args.label.replace(" ", "_").replace("-", "_") + ".manifest"
     _write_manifest(out / manifest_name, entries)
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    n = args.n
-    size = 2**n
-    k = _code_dimension(args.rate, size)
-    fault = _fault_from_args(args, n)
-    entries = _manifest_base(args, "construct")
-    entries["k"] = k
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
-    code = construct_code(n, args.p, fault, k)
-    out = _out_dir(args)
-    rel_path = out / "reliabilities.csv"
-    code_path = out / "code.csv"
-    index = np.arange(1, size + 1)
-    _write_csv(rel_path, ["index", "z"], [index, code.reliabilities])
-    _write_csv(code_path, ["index", "frozen"],
-               [index, code.frozen_mask.astype(np.int64)])
-    return _finish(args, out, "construct.manifest", entries, [rel_path, code_path])
+# The commands below call the program through this module's names at call
+# time, so that a caller may swap those names (perfbench's tracer does).
+
+def cmd_construct(args, fault, k) -> list:
+    code = construct_code(args.n, args.p, fault, k)
+    index = np.arange(1, code.N + 1)
+    return [("reliabilities.csv", ["index", "z"], [index, code.reliabilities]),
+            ("code.csv", ["index", "frozen"],
+             [index, code.frozen_mask.astype(np.int64)])]
 
 
-def cmd_simulate(args) -> int:
-    n = args.n
-    size = 2**n
-    k = _code_dimension(args.rate, size)
-    mode = args.mode.replace("-", "_")
-    fault = _fault_from_args(args, n, mode=mode)
-    entries = _manifest_base(args, "simulate")
-    entries["k"] = k
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
-    code = construct_code(n, args.p, fault, k)
+def cmd_simulate(args, fault, k) -> list:
+    code = construct_code(args.n, args.p, fault, k)
     config = SimConfig(code=code, channel_erasure=args.p, fault=fault,
-                       trials=args.trials, master_seed=args.seed,
-                       mode=mode, genie=args.genie)
+                       trials=args.trials, master_seed=args.seed, genie=args.genie)
     outcome = run_simulation(config, threads=args.threads)
-    out = _out_dir(args)
-    sim_path = out / "sim.csv"
     lo, hi = outcome.fer_ci95
-    _write_csv(sim_path,
+    tables = [("sim.csv",
                ["frames", "frame_erasures", "fer", "ber",
                 "fer_lo95", "fer_hi95", "proxy_sum"],
                [[outcome.frames], [outcome.frame_erasures], [outcome.fer],
-                [outcome.ber], [lo], [hi], [_fer_proxy(code)]])
-    outputs = [sim_path]
+                [outcome.ber], [lo], [hi], [_fer_proxy(code)]])]
     if args.genie:
-        perbit_path = out / "perbit.csv"
         counts = outcome.per_bit_erasures
-        _write_csv(perbit_path,
-                   ["index", "erasure_count", "empirical_rate", "z"],
-                   [np.arange(1, size + 1), counts, counts / outcome.frames,
-                    code.reliabilities])
-        outputs.append(perbit_path)
-    return _finish(args, out, "simulate.manifest", entries, outputs)
+        tables.append(("perbit.csv",
+                       ["index", "erasure_count", "empirical_rate", "z"],
+                       [np.arange(1, code.N + 1), counts, counts / outcome.frames,
+                        code.reliabilities]))
+    return tables
 
 
-def cmd_sweep_staircase(args) -> int:
-    fault = _fault_from_args(args, args.n)
-    entries = _manifest_base(args, "sweep staircase")
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
+_RATE_HEADER = ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"]
+
+
+def cmd_sweep_staircase(args, fault, k) -> list:
     result = staircase(args.n, args.p, fault)
-    out = _out_dir(args)
-    path = out / "staircase.csv"
-    _write_csv(path, ["index_fraction", "z"], [result.axis, result.series["z"]])
-    return _finish(args, out, "sweep_staircase.manifest", entries, [path])
+    return [("staircase.csv", ["index_fraction", "z"], [result.axis, result.series["z"]])]
 
 
-def cmd_sweep_fer_rate(args) -> int:
-    fault = _fault_from_args(args, args.n)
-    entries = _manifest_base(args, "sweep fer-rate")
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
+def cmd_sweep_fer_rate(args, fault, k) -> list:
     result = fer_vs_rate_sweep(args.n, args.p, fault, rates=args.rates)
-    out = _out_dir(args)
-    path = out / "fer_rate.csv"
-    _write_csv(path, ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"],
-               [result.axis, result.series["k"], result.series["realized_rate"],
-                result.series["proxy_raw"], result.series["proxy_clamped"]])
-    return _finish(args, out, "sweep_fer_rate.manifest", entries, [path])
+    return [("fer_rate.csv", _RATE_HEADER,
+             [result.axis, result.series["k"], result.series["realized_rate"],
+              result.series["proxy_raw"], result.series["proxy_clamped"]])]
 
 
-def cmd_sweep_rate_loss(args) -> int:
-    entries = _manifest_base(args, "sweep rate-loss")
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
+def cmd_sweep_rate_loss(args, fault, k) -> list:
     result = rate_loss_sweep(args.p, args.deltas, args.nu)
-    out = _out_dir(args)
-    outputs = []
+    tables = []
     for delta in dict.fromkeys(args.deltas):  # a repeated value is one file
-        path = out / f"rate_loss_delta_{delta:g}.csv"
-        _write_csv(path, ["nu", "delta_r", "pct_capacity"],
-                   [result.axis, result.series[f"delta_r_{delta:g}"],
-                    result.series[f"pct_capacity_{delta:g}"]])
-        outputs.append(path)
-    return _finish(args, out, "sweep_rate_loss.manifest", entries, outputs)
+        tables.append((f"rate_loss_delta_{delta:g}.csv", ["nu", "delta_r", "pct_capacity"],
+                       [result.axis, result.series[f"delta_r_{delta:g}"],
+                        result.series[f"pct_capacity_{delta:g}"]]))
+    return tables
 
 
-def cmd_sweep_protection(args) -> int:
-    entries = _manifest_base(args, "sweep protection")
-    if args.manifest_only:
-        _write_manifest(None, entries)
-        return EXIT_OK
+def cmd_sweep_protection(args, fault, k) -> list:
     result = protection_sweep(args.n, args.p, args.delta, args.np_levels,
                               rates=args.rates)
-    out = _out_dir(args)
-    outputs = []
+    tables = []
     for n_p in dict.fromkeys(args.np_levels):  # a repeated value is one file
-        path = out / f"protection_np{n_p}.csv"
-        _write_csv(path, ["rate", "k", "realized_rate", "proxy_raw", "proxy_clamped"],
-                   [result.axis, result.series["k"], result.series["realized_rate"],
-                    result.series[f"proxy_raw_np{n_p}"],
-                    result.series[f"proxy_clamped_np{n_p}"]])
-        outputs.append(path)
-    return _finish(args, out, "sweep_protection.manifest", entries, outputs)
+        tables.append((f"protection_np{n_p}.csv", _RATE_HEADER,
+                       [result.axis, result.series["k"], result.series["realized_rate"],
+                        result.series[f"proxy_raw_np{n_p}"],
+                        result.series[f"proxy_clamped_np{n_p}"]]))
+    return tables
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# Flags several commands share, each declared once; a command lists the
+# flags it takes, each with the settings it overrides.
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="blocklength exponent"),
+    "--p": dict(type=float, default=0.5, help="channel erasure probability"),
+    "--delta": dict(type=float, default=0.0, help="decoder fault probability"),
+    "--rate": dict(type=float, required=True, help="design rate k/N"),
+    "--rates": dict(type=parse_float_list, default=list(DEFAULT_RATE_GRID)),
+    "--nu": dict(type=int, help="unprotected transitions counted from the leaves "
+                                "(default: all)"),
+    "--np": dict(dest="np_levels", type=int,
+                 help="protected levels counted from the root"),
+}
+_REQUIRED = {"required": True}
+
+_COMMANDS = [
+    ("construct", "density evolution and frozen-set design", cmd_construct,
+     {"--n": {}, "--p": _REQUIRED, "--delta": _REQUIRED, "--rate": {},
+      "--nu": {}, "--np": {}}),
+    ("simulate", "Monte Carlo transmit/decode trials", cmd_simulate,
+     {"--n": {}, "--p": _REQUIRED, "--delta": _REQUIRED, "--rate": {},
+      "--trials": dict(type=int, default=10_000),
+      "--seed": dict(type=int, default=0),
+      "--mode": dict(choices=["shared", "independent-tree"], default="shared"),
+      "--genie": dict(action="store_true",
+                      help="feed true bits forward; adds perbit.csv"),
+      "--nu": {}, "--np": {}}),
+]
+
+_SWEEPS = [
+    ("staircase", "sorted reliability staircase", cmd_sweep_staircase,
+     {"--n": {}, "--p": {}, "--delta": {}, "--nu": {}, "--np": {}}),
+    ("fer-rate", "FER proxy against the rate grid", cmd_sweep_fer_rate,
+     {"--n": {}, "--p": {}, "--delta": {}, "--rates": {}, "--nu": {}, "--np": {}}),
+    ("rate-loss", "rate loss against n_u", cmd_sweep_rate_loss,
+     {"--p": {},
+      "--deltas": dict(type=parse_float_list, required=True),
+      "--nu": dict(type=parse_int_spec, required=True,
+                   help="n_u values: '1..10' or comma list")}),
+    ("protection", "FER proxy per protected level count", cmd_sweep_protection,
+     {"--n": {}, "--p": {}, "--delta": _REQUIRED,
+      "--np": dict(type=parse_int_spec, required=True,
+                   help="n_p values: '0..5' or comma list"),
+      "--rates": {}}),
+]
+
+
+def _add_command(subparsers, name: str, label: str, help_text: str, tables,
+                 flags: dict) -> None:
+    parser = subparsers.add_parser(name, help=help_text)
+    # one fault spec: --nu and --np are two ways to set the same protection
+    protection = parser
+    if "--nu" in flags and "--np" in flags:
+        protection = parser.add_mutually_exclusive_group()
+    for flag, override in flags.items():
+        target = protection if flag in ("--nu", "--np") else parser
+        target.add_argument(flag, **{**_FLAGS.get(flag, {}), **override})
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     parser.add_argument("--manifest-only", action="store_true",
                         help="print the resolved parameter record and exit")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads; output is identical for any value")
-
-
-def _add_protection(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--nu", type=int, default=None,
-                       help="unprotected transitions counted from the leaves "
-                            "(default: all)")
-    group.add_argument("--np", dest="np_levels", type=int, default=None,
-                       help="protected levels counted from the root")
+    parser.set_defaults(tables=tables, label=label)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,72 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polar codes on the BEC under erasure-faulty SC decoding.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_con = sub.add_parser("construct", help="density evolution and frozen-set design")
-    p_con.add_argument("--n", type=int, required=True, help="blocklength exponent")
-    p_con.add_argument("--p", type=float, required=True, help="channel erasure probability")
-    p_con.add_argument("--delta", type=float, required=True,
-                       help="decoder fault probability")
-    p_con.add_argument("--rate", type=float, required=True, help="design rate k/N")
-    _add_protection(p_con)
-    _add_common(p_con)
-    p_con.set_defaults(func=cmd_construct)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo transmit/decode trials")
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--p", type=float, required=True)
-    p_sim.add_argument("--delta", type=float, required=True)
-    p_sim.add_argument("--rate", type=float, required=True)
-    p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--mode", choices=["shared", "independent-tree"],
-                       default="shared")
-    p_sim.add_argument("--genie", action="store_true",
-                       help="feed true bits forward; adds perbit.csv")
-    _add_protection(p_sim)
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    for name, help_text, tables, flags in _COMMANDS:
+        _add_command(sub, name, name, help_text, tables, flags)
     p_sweep = sub.add_parser("sweep", help="analytic parameter sweeps")
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
-
-    p_st = sweep_sub.add_parser("staircase", help="sorted reliability staircase")
-    p_st.add_argument("--n", type=int, required=True)
-    p_st.add_argument("--p", type=float, default=0.5)
-    p_st.add_argument("--delta", type=float, default=0.0)
-    _add_protection(p_st)
-    _add_common(p_st)
-    p_st.set_defaults(func=cmd_sweep_staircase)
-
-    p_fr = sweep_sub.add_parser("fer-rate", help="FER proxy against the rate grid")
-    p_fr.add_argument("--n", type=int, required=True)
-    p_fr.add_argument("--p", type=float, default=0.5)
-    p_fr.add_argument("--delta", type=float, default=0.0)
-    p_fr.add_argument("--rates", type=parse_float_list,
-                      default=list(DEFAULT_RATE_GRID))
-    _add_protection(p_fr)
-    _add_common(p_fr)
-    p_fr.set_defaults(func=cmd_sweep_fer_rate)
-
-    p_rl = sweep_sub.add_parser("rate-loss", help="rate loss against n_u")
-    p_rl.add_argument("--p", type=float, default=0.5)
-    p_rl.add_argument("--deltas", type=parse_float_list, required=True)
-    p_rl.add_argument("--nu", type=parse_int_spec, required=True,
-                      help="n_u values: '1..10' or comma list")
-    _add_common(p_rl)
-    p_rl.set_defaults(func=cmd_sweep_rate_loss)
-
-    p_pr = sweep_sub.add_parser("protection", help="FER proxy per protected level count")
-    p_pr.add_argument("--n", type=int, required=True)
-    p_pr.add_argument("--p", type=float, default=0.5)
-    p_pr.add_argument("--delta", type=float, required=True)
-    p_pr.add_argument("--np", dest="np_levels", type=parse_int_spec, required=True,
-                      help="n_p values: '0..5' or comma list")
-    p_pr.add_argument("--rates", type=parse_float_list,
-                      default=list(DEFAULT_RATE_GRID))
-    _add_common(p_pr)
-    p_pr.set_defaults(func=cmd_sweep_protection)
-
+    for name, help_text, tables, flags in _SWEEPS:
+        _add_command(sweep_sub, name, f"sweep {name}", help_text, tables, flags)
     return parser
 
 
@@ -352,7 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

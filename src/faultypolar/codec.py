@@ -30,7 +30,7 @@ from enum import IntEnum
 import numpy as np
 
 from .construction import CodeConstruction
-from .core import INDEPENDENT_TREE, SHARED, FaultSpec, _require_unit_interval
+from .core import SHARED, FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError
 
 
@@ -389,7 +389,7 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
 
 def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
               rng: np.random.Generator | None = None, genie: bool = False,
-              true_u=None, mode: str | None = None) -> DecodeResult:
+              true_u=None) -> DecodeResult:
     """Successive cancellation decode of one received frame.
 
     Parameters
@@ -400,7 +400,9 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         Supplies the frozen/information split (frozen values are all zero).
     fault : FaultSpec
         Decode-time fault model; need not match the one the code was
-        designed for.
+        designed for. Its correlation_mode, "shared" or
+        "independent_tree", selects how fault draws are shared across
+        bit decisions.
     rng : numpy.random.Generator, optional
         Source of fault randomness; required whenever fault injection is
         active.
@@ -411,16 +413,11 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         True input word, required in genie mode. Its frozen bits are
         taken as 0, and y must agree with encode of that word at every
         non-erased position; otherwise ValueError is raised.
-    mode : str, optional
-        "shared" or "independent_tree"; defaults to fault.correlation_mode.
     """
     y_arr = _as_message_array(y, "y")
     if y_arr.shape != (code.N,):
         raise ValueError(f"expected {code.N} channel messages, got shape {y_arr.shape}")
-    if mode is None:
-        mode = fault.correlation_mode
-    if mode not in (SHARED, INDEPENDENT_TREE):
-        raise ValueError(f"unknown mode {mode!r}")
+    mode = fault.correlation_mode
     erased = y_arr == 0
     if genie:
         if true_u is None:

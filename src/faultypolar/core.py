@@ -94,7 +94,9 @@ class FaultSpec:
         across bit decisions, as a hardware decoder does.
         "independent_tree": each bit's full decoding tree is recomputed with
         fresh fault randomness, matching the density-evolution independence
-        assumption.
+        assumption. This field is the one setting of the mode: sc_decode and
+        run_simulation (through SimConfig.fault) read it, and density
+        evolution ignores it.
     """
 
     delta: float = 0.0

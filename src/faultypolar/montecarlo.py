@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import fer_proxy
 from .codec import _decode_batch, encode, fault_slot_count
 from .construction import CodeConstruction
-from .core import INDEPENDENT_TREE, SHARED, FaultSpec, _require_unit_interval
+from .core import SHARED, FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
 
 ROLE_SOURCE = 0
@@ -141,14 +141,13 @@ def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulation run."""
+    """Parameters of one simulation run; the decoder runs in fault.correlation_mode."""
 
     code: CodeConstruction
     channel_erasure: float
     fault: FaultSpec
     trials: int
     master_seed: int
-    mode: str | None = None  # defaults to fault.correlation_mode
     genie: bool = False
 
     def __post_init__(self):
@@ -157,10 +156,6 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.mode is None:
-            object.__setattr__(self, "mode", self.fault.correlation_mode)
-        if self.mode not in (SHARED, INDEPENDENT_TREE):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,8 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
 
     # only the erasures count; dropping u_hat at once bounds the live planes
     decision_erased = _decode_batch(
-        erased, code.frozen_mask, config.fault, config.mode, config.genie,
-        None if u is None else encode(u), hits)[1]
+        erased, code.frozen_mask, config.fault, config.fault.correlation_mode,
+        config.genie, None if u is None else encode(u), hits)[1]
 
     erased_info = decision_erased[:, info0]
     frame_erasures = int(erased_info.any(axis=1).sum())
@@ -271,14 +266,15 @@ def run_simulation(config: SimConfig, threads: int = 1,
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    slots = fault_slot_count(code.n, config.fault, config.mode)
-    per_trial = _trial_bytes(code.n, slots, config.mode, genie=config.genie)
+    mode = config.fault.correlation_mode
+    slots = fault_slot_count(code.n, config.fault, mode)
+    per_trial = _trial_bytes(code.n, slots, mode, genie=config.genie)
     if per_trial > TRIAL_BYTES_CEILING:
         raise ResourceLimitError(
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        group = _trial_bytes(code.n, slots, config.mode, batch=8, genie=config.genie)
+        group = _trial_bytes(code.n, slots, mode, batch=8, genie=config.genie)
         groups = _CHUNK_BYTES // group
         chunk_size = min(_MAX_CHUNK, max(1, 8 * groups))
     chunk_size = max(1, min(chunk_size, config.trials))

@@ -289,9 +289,10 @@ def test_rate_loss_sweep_raises_as_per_point_rate_loss(args):
 
 
 def test_rate_loss_sweep_without_points_checks_as_before():
-    # no n_u, or no delta: nothing is evaluated, so p and delta go unchecked
+    # no n_u, or no delta: p and delta are checked all the same
     for args in ((0.5, [2.0], []), (-0.5, [], [1, 2])):
-        _assert_same_series(rate_loss_sweep(*args).series, _rate_loss_reference(*args))
+        with pytest.raises(ValueError):
+            rate_loss_sweep(*args)
 
 
 def _traced_peak(fn, *args, **kwargs):

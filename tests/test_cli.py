@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from faultypolar import cli
 from faultypolar.cli import _fmt, _write_csv, main, parse_float_list, parse_int_spec
 
 
@@ -309,3 +310,163 @@ def test_write_csv_matches_the_row_writer(header, columns, tmp_path):
     _write_csv(tmp_path / "cols.csv", header, columns)
     _write_csv_rows(tmp_path / "rows.csv", header, zip(*columns))
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# The CLI contract, recorded before the commands became table-driven: each
+# case's manifest lines (the outputs= line aside) and the files it writes,
+# in order. Every case runs twice: writing its files, and --manifest-only.
+DEFAULT_RATES = ("0.050000000000000003,0.10000000000000001,0.14999999999999999,"
+                 "0.20000000000000001,0.25,0.29999999999999999,0.34999999999999998,"
+                 "0.40000000000000002,0.45000000000000001,0.5,0.55000000000000004,"
+                 "0.59999999999999998,0.65000000000000002,0.69999999999999996,0.75,"
+                 "0.80000000000000004,0.84999999999999998,0.90000000000000002,"
+                 "0.94999999999999996")
+CONSTRUCT = ["construct", "--n", "3", "--p", "0.5", "--delta", "0.01", "--rate", "0.5"]
+SIMULATE = ["simulate", "--n", "4", "--p", "0.4", "--delta", "0.01", "--rate", "0.5",
+            "--trials", "50"]
+CLI_CONTRACT = [
+    (CONSTRUCT,
+     ["command=construct", "version=0.1.0", "delta=0.01", "n=3", "p=0.5",
+      "rate=0.5", "k=4"],
+     ["reliabilities.csv", "code.csv"]),
+    ([*CONSTRUCT, "--nu", "2"],
+     ["command=construct", "version=0.1.0", "delta=0.01", "n=3", "nu=2", "p=0.5",
+      "rate=0.5", "k=4"],
+     ["reliabilities.csv", "code.csv"]),
+    ([*CONSTRUCT, "--np", "2"],
+     ["command=construct", "version=0.1.0", "delta=0.01", "n=3", "np_levels=2",
+      "p=0.5", "rate=0.5", "k=4"],
+     ["reliabilities.csv", "code.csv"]),
+    ([*SIMULATE, "--seed", "3"],
+     ["command=simulate", "version=0.1.0", "delta=0.01", "genie=False", "mode=shared",
+      "n=4", "p=0.40000000000000002", "rate=0.5", "seed=3", "trials=50", "k=8"],
+     ["sim.csv"]),
+    ([*SIMULATE, "--mode", "independent-tree", "--genie", "--nu", "2"],
+     ["command=simulate", "version=0.1.0", "delta=0.01", "genie=True",
+      "mode=independent-tree", "n=4", "nu=2", "p=0.40000000000000002", "rate=0.5",
+      "seed=0", "trials=50", "k=8"],
+     ["sim.csv", "perbit.csv"]),
+    ([*SIMULATE, "--genie", "--np", "1"],
+     ["command=simulate", "version=0.1.0", "delta=0.01", "genie=True", "mode=shared",
+      "n=4", "np_levels=1", "p=0.40000000000000002", "rate=0.5", "seed=0",
+      "trials=50", "k=8"],
+     ["sim.csv", "perbit.csv"]),
+    (["sweep", "staircase", "--n", "4"],
+     ["command=sweep staircase", "version=0.1.0", "delta=0", "n=4", "p=0.5"],
+     ["staircase.csv"]),
+    (["sweep", "staircase", "--n", "4", "--p", "0.3", "--delta", "1e-3", "--nu", "2"],
+     ["command=sweep staircase", "version=0.1.0", "delta=0.001", "n=4", "nu=2",
+      "p=0.29999999999999999"],
+     ["staircase.csv"]),
+    (["sweep", "staircase", "--n", "4", "--delta", "1e-3", "--np", "3"],
+     ["command=sweep staircase", "version=0.1.0", "delta=0.001", "n=4",
+      "np_levels=3", "p=0.5"],
+     ["staircase.csv"]),
+    (["sweep", "fer-rate", "--n", "5", "--delta", "1e-3", "--rates", "0.25,0.5"],
+     ["command=sweep fer-rate", "version=0.1.0", "delta=0.001", "n=5", "p=0.5",
+      "rates=0.25,0.5"],
+     ["fer_rate.csv"]),
+    (["sweep", "fer-rate", "--n", "5", "--delta", "1e-3", "--rates", "0.5", "--np", "2"],
+     ["command=sweep fer-rate", "version=0.1.0", "delta=0.001", "n=5", "np_levels=2",
+      "p=0.5", "rates=0.5"],
+     ["fer_rate.csv"]),
+    (["sweep", "fer-rate", "--n", "5", "--delta", "1e-3", "--nu", "1"],
+     ["command=sweep fer-rate", "version=0.1.0", "delta=0.001", "n=5", "nu=1",
+      "p=0.5", f"rates={DEFAULT_RATES}"],
+     ["fer_rate.csv"]),
+    (["sweep", "rate-loss", "--p", "0.4", "--deltas", "1e-3,1e-2", "--nu", "1..3"],
+     ["command=sweep rate-loss", "version=0.1.0", "deltas=0.001,0.01", "nu=1,2,3",
+      "p=0.40000000000000002"],
+     ["rate_loss_delta_0.001.csv", "rate_loss_delta_0.01.csv"]),
+    (["sweep", "rate-loss", "--deltas", "1e-3", "--nu", "0,4"],
+     ["command=sweep rate-loss", "version=0.1.0", "deltas=0.001", "nu=0,4", "p=0.5"],
+     ["rate_loss_delta_0.001.csv"]),
+    (["sweep", "protection", "--n", "5", "--delta", "1e-3", "--np", "0..2",
+      "--rates", "0.5"],
+     ["command=sweep protection", "version=0.1.0", "delta=0.001", "n=5",
+      "np_levels=0,1,2", "p=0.5", "rates=0.5"],
+     ["protection_np0.csv", "protection_np1.csv", "protection_np2.csv"]),
+    (["sweep", "protection", "--n", "5", "--delta", "1e-3", "--np", "3,1"],
+     ["command=sweep protection", "version=0.1.0", "delta=0.001", "n=5",
+      "np_levels=3,1", "p=0.5", f"rates={DEFAULT_RATES}"],
+     ["protection_np3.csv", "protection_np1.csv"]),
+]
+
+
+@pytest.mark.parametrize("args, manifest, names", CLI_CONTRACT)
+def test_cli_contract(args, manifest, names, tmp_path, capsys):
+    assert run_cli(args, tmp_path) == 0
+    paths = [str(tmp_path / name) for name in names]
+    assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in paths)
+    label = "_".join(args[:2] if args[0] == "sweep" else args[:1]).replace("-", "_")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*names, f"{label}.manifest"])
+    assert (tmp_path / f"{label}.manifest").read_text() == "\n".join(
+        [*manifest, "outputs=" + ",".join(paths)]) + "\n"
+
+
+@pytest.mark.parametrize("args, manifest, names", CLI_CONTRACT)
+def test_cli_contract_manifest_only(args, manifest, names, tmp_path, capsys):
+    assert run_cli([*args, "--manifest-only"], tmp_path) == 0
+    assert capsys.readouterr().out == "\n".join(manifest) + "\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _exit_code(args, out_dir):
+    try:
+        return run_cli(args, out_dir)
+    except SystemExit as exc:  # argparse refuses the command line
+        return exc.code
+
+
+@pytest.mark.parametrize("args, code", [
+    ([*CONSTRUCT, "--nu", "-1", "--manifest-only"], 2),
+    ([*CONSTRUCT, "--np", "9", "--manifest-only"], 2),
+    (["construct", "--n", "3", "--p", "0.5", "--delta", "0", "--rate", "inf",
+      "--manifest-only"], 2),
+    ([*SIMULATE, "--mode", "both"], 2),
+    ([*SIMULATE[:-1], "0"], 2),
+    ([*SIMULATE, "--threads", "0"], 2),
+    (["construct", "--n", "30", "--p", "0.5", "--delta", "0", "--rate", "0.5"], 3),
+    (["sweep", "protection", "--n", "5", "--delta", "1e-3"], 2),
+])
+def test_cli_error_exit_codes(args, code, tmp_path, capsys):
+    assert _exit_code(args, tmp_path) == code
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "nan", "--deltas", "0.1", "--nu", ","],
+    ["--p", "0.5", "--deltas", "7", "--nu", ","],
+    ["--p", "-3", "--deltas", ",", "--nu", "1..3"],
+    ["--p", "0.5", "--deltas", ",", "--nu", "1..3"],
+])
+def test_sweep_rate_loss_checks_inputs_without_points(args, tmp_path):
+    assert run_cli(["sweep", "rate-loss", *args], tmp_path) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, args", [
+    ("_write_csv", CONSTRUCT),
+    ("construct_code", CONSTRUCT),
+    ("run_simulation", SIMULATE),
+    ("staircase", ["sweep", "staircase", "--n", "4"]),
+    ("fer_vs_rate_sweep", ["sweep", "fer-rate", "--n", "5"]),
+    ("protection_sweep", ["sweep", "protection", "--n", "5", "--delta", "1e-3",
+                          "--np", "0..2"]),
+    ("rate_loss_sweep", ["sweep", "rate-loss", "--deltas", "1e-3", "--nu", "1..3"]),
+])
+def test_commands_call_the_module_names_perfbench_wraps(name, args, tmp_path,
+                                                        monkeypatch):
+    # perfbench's tracer swaps these cli attributes; a command that held on
+    # to the function objects would bypass the swap and misattribute time
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*call_args, **kwargs):
+        calls.append(name)
+        return original(*call_args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run_cli(args, tmp_path) == 0
+    assert calls

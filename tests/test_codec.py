@@ -143,7 +143,7 @@ def test_round_trip_exhaustive_small():
                 u[info0] = bits
                 y = (1 - 2 * encode(u)).astype(np.int8)
                 for mode in ("shared", "independent_tree"):
-                    result = sc_decode(y, code, FaultSpec(), mode=mode)
+                    result = sc_decode(y, code, FaultSpec(correlation_mode=mode))
                     assert not result.frame_erased
                     assert np.array_equal(result.u_hat, np.array(bits, np.int8))
 
@@ -194,7 +194,7 @@ def test_modes_identical_without_faults():
         u = np.zeros(32, np.int8)
         u[info0] = rng.integers(0, 2, 16, dtype=np.int8)
         y = transmit_bec(encode(u), 0.5, rng)
-        results = [sc_decode(y, code, FaultSpec(), mode=m, genie=True, true_u=u)
+        results = [sc_decode(y, code, FaultSpec(correlation_mode=m), genie=True, true_u=u)
                    for m in ("shared", "independent_tree")]
         assert np.array_equal(results[0].u_hat, results[1].u_hat)
         assert np.array_equal(results[0].decision_erased, results[1].decision_erased)
@@ -215,7 +215,7 @@ def test_fault_monotonicity_coupled_uniforms():
             seed = int(rng.integers(0, 2**32))
             erased_prev = None
             for delta in (0.0, 0.05, 0.2, 0.9):
-                result = sc_decode(y, code, FaultSpec(delta=delta), mode=mode,
+                result = sc_decode(y, code, FaultSpec(delta=delta, correlation_mode=mode),
                                    rng=np.random.default_rng(seed),
                                    genie=True, true_u=u)
                 erased = result.decision_erased

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent import futures
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,11 @@ ROLES = (ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
 def _config(n=6, k=16, p=0.5, delta=0.0, trials=200, seed=0, mode=None, genie=False,
             n_u=None):
     fault = FaultSpec(delta=delta, unprotected_steps=n_u)
+    if mode is not None:
+        fault = replace(fault, correlation_mode=mode)
     code = construct_code(n, p, fault, k)
     return SimConfig(code=code, channel_erasure=p, fault=fault, trials=trials,
-                     master_seed=seed, mode=mode, genie=genie)
+                     master_seed=seed, genie=genie)
 
 
 def test_noiseless_simulation_is_clean():
@@ -154,7 +157,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         _config(mode="coupled")
     config = _config(mode=None, delta=0.1)
-    assert config.mode == "independent_tree"  # inherited from the fault spec
+    assert config.fault.correlation_mode == "independent_tree"  # inherited from the fault spec
 
 
 def test_binomial_ci95():
@@ -272,7 +275,7 @@ def test_fault_row_longer_than_draw_block(monkeypatch):
     # than one draw block; the hit rows must match fresh one-call draws
     config = _config(n=7, k=32, p=0.4, delta=0.05, trials=3, seed=2**64 - 1,
                      mode="independent_tree", genie=True)
-    slots = fault_slot_count(7, config.fault, config.mode)
+    slots = fault_slot_count(7, config.fault, config.fault.correlation_mode)
     assert slots > montecarlo._DRAW_BLOCK
     seen = []
     decode = montecarlo._decode_batch
@@ -367,7 +370,7 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=batch, mode=mode,
                      genie=genie)
-    slots = fault_slot_count(n, config.fault, config.mode)
+    slots = fault_slot_count(n, config.fault, config.fault.correlation_mode)
     _run_chunk(config, 0, batch, slots)  # warm caches outside the measurement
     tracemalloc.start()
     try:
@@ -397,7 +400,7 @@ def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
     # partial sums; k = N - 1 gathers the most information columns
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=k, p=0.4, delta=0.01, trials=batch, mode=mode, genie=True)
-    slots = fault_slot_count(n, config.fault, config.mode)
+    slots = fault_slot_count(n, config.fault, config.fault.correlation_mode)
     _run_chunk(config, 0, batch, slots)
     tracemalloc.start()
     try:

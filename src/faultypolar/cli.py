@@ -70,6 +70,13 @@ def parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part != ""]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns under `header` with one format call.
 
@@ -288,7 +295,7 @@ def _add_command(subparsers, name: str, label: str, help_text: str, tables,
                         help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     parser.add_argument("--manifest-only", action="store_true",
                         help="print the resolved parameter record and exit")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=positive_int, default=1,
                         help="worker threads; output is identical for any value")
     parser.set_defaults(tables=tables, label=label)
 

@@ -20,6 +20,9 @@ is a few bitwise operations on contiguous rows (see _decode_batch). It
 reads the channel as an erasure mask plus the codeword bits. Under genie
 feedback every known message is correct, so a genie decode carries the
 erased bits alone. encode runs its butterfly on the same packed planes.
+
+Both correlation modes run one schedule on one layout; the mode picks
+only which tree levels each bit recomputes (see _decode_batch).
 """
 
 from __future__ import annotations
@@ -248,6 +251,12 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     seeing the same per-frame hit rows produce identical results no matter
     how frames are grouped into batches.
 
+    Levels 0 (the decisions) to n - 1 hold N message rows each, level n
+    is the channel. Bit i, in order, recomputes from a top level down its
+    level-L block, rows (i >> L) << L on, from its parent block. mode
+    picks the top alone: the lowest set bit of i in shared mode (n - 1 at
+    i = 0), the levels whose inputs changed; n - 1 in independent_tree.
+
     The kernel works on packed bit planes of shape (N, ceil(B/8)) uint8,
     positions-major: bit k of byte j in row i belongs to frame 8j + k, so
     every tree block is a contiguous run of rows and one bitwise op updates
@@ -281,15 +290,12 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     n = size.bit_length() - 1
     faulty_min_level = n - fault.effective_steps(n)
     stream = None
-    if fault_hits is not None and fault_slot_count(n, fault, mode) > 0:
+    if fault_hits is not None and fault.delta > 0:
         stream = _HitStream(_pack_frames(fault_hits))
 
     signs = not genie
     channel = (_pack_frames(erased),) + ((_pack_frames(codeword),) if signs else ())
     nbytes = channel[0].shape[1]
-
-    def planes(rows):
-        return tuple(np.empty((rows, nbytes), dtype=np.uint8) for _ in channel)
 
     if signs:
         # bits[L] holds, over completed aligned blocks of width 2**L, the
@@ -297,57 +303,47 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
         # sums).
         bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
         scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
-    if mode == SHARED:
-        msgs = [planes(size) for _ in range(n)] + [channel]
-    else:
-        # one message per level for the tree of the bit being decided
-        msgs = [planes(1 << level) for level in range(n)] + [channel]
-    decision = msgs[0] if mode == SHARED or n == 0 else planes(size)
+    msgs = [tuple(np.empty((size, nbytes), dtype=np.uint8) for _ in channel)
+            for _ in range(n)] + [channel]
+    decision = msgs[0]
+    recompute_all = mode != SHARED
 
-    def node(level, parent, off, base2, g_node, out):
-        # parent rows off.. hold the block whose partial sums start at base2
+    def node(level, i0):
         width = 1 << level
-        el = parent[0][off:off + width]
-        er = parent[0][off + width:off + 2 * width]
-        out_e = out[0]
+        base2 = (i0 >> (level + 1)) << (level + 1)
+        dst = (i0 >> level) << level
+        g_node = i0 & width
+        parent, out = msgs[level + 1], msgs[level]
+        el = parent[0][base2:base2 + width]
+        er = parent[0][base2 + width:base2 + 2 * width]
+        out_e = out[0][dst:dst + width]
         if not signs:
             (np.bitwise_and if g_node else np.bitwise_or)(el, er, out=out_e)
-        elif g_node:
-            sl = parent[1][off:off + width]
-            sr = parent[1][off + width:off + 2 * width]
-            out_s = out[1]
-            t = scratch[:width]
-            np.bitwise_xor(sl, bits[level][base2:base2 + width], out=t)
-            np.bitwise_xor(t, sr, out=t)
-            np.bitwise_and(er, t, out=out_s)
-            np.bitwise_xor(out_s, sr, out=out_s)
-            np.bitwise_or(t, el, out=t)
-            np.bitwise_xor(el, er, out=out_e)
-            np.invert(out_e, out=out_e)
-            np.bitwise_and(out_e, t, out=out_e)
         else:
-            np.bitwise_or(el, er, out=out_e)
-            np.bitwise_xor(parent[1][off:off + width],
-                           parent[1][off + width:off + 2 * width], out=out[1])
+            sl = parent[1][base2:base2 + width]
+            sr = parent[1][base2 + width:base2 + 2 * width]
+            out_s = out[1][dst:dst + width]
+            if g_node:
+                t = scratch[:width]
+                np.bitwise_xor(sl, bits[level][base2:base2 + width], out=t)
+                np.bitwise_xor(t, sr, out=t)
+                np.bitwise_and(er, t, out=out_s)
+                np.bitwise_xor(out_s, sr, out=out_s)
+                np.bitwise_or(t, el, out=t)
+                np.bitwise_xor(el, er, out=out_e)
+                np.invert(out_e, out=out_e)
+                np.bitwise_and(out_e, t, out=out_e)
+            else:
+                np.bitwise_or(el, er, out=out_e)
+                np.bitwise_xor(sl, sr, out=out_s)
         if stream is not None and level >= faulty_min_level:
             # an erased message stays erased, so erasing every hit is exact
             np.bitwise_or(out_e, stream.take(width), out=out_e)
 
     for i0 in range(size):
-        if mode == SHARED:
-            top = n - 1 if i0 == 0 else (i0 & -i0).bit_length() - 1
-            for level in range(top, -1, -1):
-                base2 = (i0 >> (level + 1)) << (level + 1)
-                dst = (i0 >> level) << level
-                out = tuple(p[dst:dst + (1 << level)] for p in msgs[level])
-                node(level, msgs[level + 1], base2, base2, bool((i0 >> level) & 1), out)
-        else:
-            for level in range(n - 1, -1, -1):
-                base2 = (i0 >> (level + 1)) << (level + 1)
-                # below the root the parent planes hold just this bit's block
-                off = base2 if level == n - 1 else 0
-                out = msgs[level] if level else tuple(p[i0:i0 + 1] for p in decision)
-                node(level, msgs[level + 1], off, base2, bool((i0 >> level) & 1), out)
+        top = n - 1 if recompute_all or i0 == 0 else (i0 & -i0).bit_length() - 1
+        for level in range(top, -1, -1):
+            node(level, i0)
 
         if not signs:
             continue

@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import fer_proxy
 from .codec import _decode_batch, encode, fault_slot_count
 from .construction import CodeConstruction
-from .core import SHARED, FaultSpec, _require_unit_interval
+from .core import FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
 
 ROLE_SOURCE = 0
@@ -109,8 +109,7 @@ def _source_bits(bitgen: np.random.BitGenerator, k: int) -> np.ndarray:
     return words.view(np.uint8)[:k] >> 7
 
 
-def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
-                 genie: bool = False) -> int:
+def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int:
     """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
     Per frame: its bool fault-hit row and (B, N) int8/bool planes: the
@@ -118,22 +117,18 @@ def _trial_bytes(n: int, slots: int, mode: str, batch: int = 1,
     decision_erased and the information columns gathered for the counts;
     without the genie, u and its codeword add two more. Per group of eight
     frames, one byte per fault slot for the packed hits and one byte per
-    position for each packed plane. Without the genie: one partial-sum
-    plane per level, in shared mode two message planes per level, and at
-    most 9 more (channel E and S, decision E and S, the two output planes,
-    the g-node scratch and, in independent-tree mode, the message planes
-    of the bit being decided). In genie mode, E planes only: in shared mode
-    one message plane per level, and at most 6 more (channel, decision,
-    the independent-tree message planes, the true-word plane and the two
-    output planes). A group is paid in full even when fewer than eight
-    frames share it. Fixed scratch (a block of raw words and the decoder's
-    packing buffers, 64 KiB each) is not counted.
+    position for each packed plane. Both modes keep log2 N message levels,
+    the decisions being the lowest. Without the genie: two message planes
+    (E and S) and one partial-sum plane per level, and at most 9 more (the
+    channel's E and S, the two output planes and the g-node scratch). In
+    genie mode, E planes only: one message plane per level and at most 6
+    more (the channel, the true-word plane and the two output planes). A
+    group is paid in full even when fewer than eight frames share it.
+    Fixed scratch (a block of raw words and the decoder's packing buffers,
+    64 KiB each) is not counted.
     """
     size = 1 << n
-    if genie:
-        planes, packed = 3, 6 + (n if mode == SHARED else 0)
-    else:
-        planes, packed = 5, 9 + max(n, 1) + (2 * n if mode == SHARED else 0)
+    planes, packed = (3, 6 + n) if genie else (5, 9 + max(n, 1) + 2 * n)
     per_frame = slots + planes * size
     per_group = slots + packed * size
     return batch * per_frame + -(-batch // 8) * per_group
@@ -195,6 +190,8 @@ def binomial_ci95(count: int, n: int) -> tuple[float, float]:
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if not 0 <= count <= n:
+        raise ValueError(f"count must be in 0..{n}, got {count}")
     phat = count / n
     if min(count, n - count) < 10:
         from scipy.stats import beta
@@ -266,15 +263,14 @@ def run_simulation(config: SimConfig, threads: int = 1,
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    mode = config.fault.correlation_mode
-    slots = fault_slot_count(code.n, config.fault, mode)
-    per_trial = _trial_bytes(code.n, slots, mode, genie=config.genie)
+    slots = fault_slot_count(code.n, config.fault, config.fault.correlation_mode)
+    per_trial = _trial_bytes(code.n, slots, genie=config.genie)
     if per_trial > TRIAL_BYTES_CEILING:
         raise ResourceLimitError(
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        group = _trial_bytes(code.n, slots, mode, batch=8, genie=config.genie)
+        group = _trial_bytes(code.n, slots, batch=8, genie=config.genie)
         groups = _CHUNK_BYTES // group
         chunk_size = min(_MAX_CHUNK, max(1, 8 * groups))
     chunk_size = max(1, min(chunk_size, config.trials))

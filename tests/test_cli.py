@@ -429,6 +429,9 @@ def _exit_code(args, out_dir):
     ([*SIMULATE, "--threads", "0"], 2),
     (["construct", "--n", "30", "--p", "0.5", "--delta", "0", "--rate", "0.5"], 3),
     (["sweep", "protection", "--n", "5", "--delta", "1e-3"], 2),
+    (["construct", "--n", "3", "--p", "0.5", "--delta", "0", "--rate", "0.5",
+      "--threads", "-5"], 2),
+    (["sweep", "staircase", "--n", "4", "--threads", "0"], 2),
 ])
 def test_cli_error_exit_codes(args, code, tmp_path, capsys):
     assert _exit_code(args, tmp_path) == code

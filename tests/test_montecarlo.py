@@ -175,6 +175,9 @@ def test_binomial_ci95():
     assert 0.0 < lo < 3 / 50 < hi < 1.0
     with pytest.raises(ValueError):
         binomial_ci95(1, 0)
+    for count, n in ((-1, 10), (11, 10), (5, 3)):
+        with pytest.raises(ValueError, match="count"):
+            binomial_ci95(count, n)
 
 
 def test_genie_per_bit_counts_present_only_in_genie_mode():
@@ -339,16 +342,16 @@ def test_trial_bytes_admit_the_documented_sizes():
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots, "independent_tree") == 2 * slots + (5 + 9 + 8) * 256
-    assert _trial_bytes(10, 10 * 1024, "shared") == 2 * 10 * 1024 + (5 + 9 + 30) * 1024
+    assert _trial_bytes(8, slots) == 2 * slots + (5 + 9 + 24) * 256
+    assert _trial_bytes(10, 10 * 1024) == 2 * 10 * 1024 + (5 + 9 + 30) * 1024
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
-        assert _trial_bytes(n, slots, "independent_tree") <= TRIAL_BYTES_CEILING
+        assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
     for n in range(1, 22):
         slots = fault_slot_count(n, shared, "shared")
-        assert _trial_bytes(n, slots, "shared") <= TRIAL_BYTES_CEILING
+        assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
     slots = fault_slot_count(14, tree, "independent_tree")
-    assert _trial_bytes(14, slots, "independent_tree") > TRIAL_BYTES_CEILING
+    assert _trial_bytes(14, slots) > TRIAL_BYTES_CEILING
 
 
 def test_lone_trial_pays_a_whole_packed_group():
@@ -356,7 +359,7 @@ def test_lone_trial_pays_a_whole_packed_group():
     # allocates its packed planes at N bytes each: 496 MiB in all
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots, "shared") == 496 * 2**20 > TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 496 * 2**20 > TRIAL_BYTES_CEILING
 
 
 @pytest.mark.parametrize("n, mode, genie, batch", [
@@ -378,7 +381,7 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _trial_bytes(n, slots, mode, batch) + fixed_scratch
+    assert peak <= _trial_bytes(n, slots, batch) + fixed_scratch
 
 
 def test_genie_trial_bytes_admit_the_same_sizes():
@@ -387,7 +390,7 @@ def test_genie_trial_bytes_admit_the_same_sizes():
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
             slots = fault_slot_count(n, fault, mode)
-            admitted = _trial_bytes(n, slots, mode, genie=True) <= TRIAL_BYTES_CEILING
+            admitted = _trial_bytes(n, slots, genie=True) <= TRIAL_BYTES_CEILING
             assert admitted == (n <= largest), (mode, n)
 
 
@@ -408,7 +411,29 @@ def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _trial_bytes(n, slots, mode, batch, genie=True) + fixed_scratch
+    assert peak <= _trial_bytes(n, slots, batch, genie=True) + fixed_scratch
+
+
+@pytest.mark.parametrize("n, mode, genie, batch, k", [
+    (8, "independent_tree", False, 800, 128), (8, "shared", False, 800, 128),
+    (10, "independent_tree", False, 64, 512), (5, "shared", False, 1, 16),
+    (10, "independent_tree", True, 800, 1023), (8, "shared", True, 800, 255),
+    (10, "shared", True, 64, 1023), (5, "independent_tree", True, 1, 31),
+])
+def test_trial_bytes_bound_a_chunk_without_fault_slots(n, mode, genie, batch, k):
+    # delta = 0 draws no fault slots, so the packed planes alone fill the
+    # per-group count: one layout of log2 N message levels in either mode
+    fixed_scratch = 4 * 2**16
+    config = _config(n=n, k=k, p=0.4, delta=0.0, trials=batch, mode=mode, genie=genie)
+    assert fault_slot_count(n, config.fault, mode) == 0
+    _run_chunk(config, 0, batch, 0)
+    tracemalloc.start()
+    try:
+        _run_chunk(config, 0, batch, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _trial_bytes(n, 0, batch, genie) + fixed_scratch
 
 
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])

@@ -22,7 +22,11 @@ feedback every known message is correct, so a genie decode carries the
 erased bits alone. encode runs its butterfly on the same packed planes.
 
 Both correlation modes run one schedule on one layout; the mode picks
-only which tree levels each bit recomputes (see _decode_batch).
+only which tree levels each bit recomputes (see _decode_batch). A caller
+that reads only some decisions names them, and the decoder skips every
+node that feeds only unread frozen decisions; the fault schedule does not
+change. The simulations read the information decisions alone (genie runs
+read them all), and sc_decode reads every decision.
 """
 
 from __future__ import annotations
@@ -234,28 +238,50 @@ def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
     return size * per_bit
 
 
+def _block_any(leaves: np.ndarray, n: int) -> list[np.ndarray]:
+    """levels[L][b]: some leaf of the level-L block b (leaves b << L on) is set."""
+    levels = [leaves]
+    for _ in range(n):
+        levels.append(levels[-1].reshape(-1, 2).any(axis=1))
+    return levels
+
+
 def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                   mode: str, genie: bool, codeword: np.ndarray | None,
-                  fault_hits: np.ndarray | None):
-    """Decode a (B, N) batch of frames; returns (u_hat, decision_erased).
+                  fault_hits: np.ndarray | None, *, read: np.ndarray | None = None):
+    """Decode a (B, N) batch of frames; returns the packed decision planes.
 
     erased is the (B, N) bool channel-erasure mask and codeword the (B, N)
     0/1 codeword bits. The BEC never lies, so where it does not erase it
     reports the codeword bit: the codeword is the channel's sign plane, and
-    its bits at erased positions are don't-care.
+    its bits at erased positions are don't-care. The genie kernel carries
+    no signs and ignores codeword, which may be None.
 
     fault_hits is a (B, fault_slot_count) bool array holding, for each
     frame, its fault uniforms already turned into hits (uniform < delta).
-    Each computed message takes the next hit in the fixed schedule and is
-    erased where it is set. The schedule is data-independent, so two runs
-    seeing the same per-frame hit rows produce identical results no matter
-    how frames are grouped into batches.
+    Each message takes the next hit in the fixed schedule and is erased
+    where it is set. The schedule is data-independent, so two runs seeing
+    the same per-frame hit rows produce identical results no matter how
+    frames are grouped into batches.
 
     Levels 0 (the decisions) to n - 1 hold N message rows each, level n
     is the channel. Bit i, in order, recomputes from a top level down its
     level-L block, rows (i >> L) << L on, from its parent block. mode
     picks the top alone: the lowest set bit of i in shared mode (n - 1 at
     i = 0), the levels whose inputs changed; n - 1 in independent_tree.
+
+    read, an N-long bool mask, names the decisions the caller reads; the
+    default is all of them. A node is evaluated only when a read decision
+    or an information decision, whose partial sums feed later bits,
+    depends on it; frozen decisions feed 0 forward whatever they are. In
+    shared mode a level-L block feeds the decisions of its own rows, so it
+    is skipped when they hold no read and no information bit (a rate-0
+    subtree of simplified SC). In independent_tree mode each bit's path
+    feeds its own decision alone, so an unread frozen bit skips every
+    level. A skipped node still takes its hits from the stream, so the
+    schedule, and every decision that is evaluated, is that of the full
+    decode. Partial sums of all-frozen blocks are always 0 and are never
+    written.
 
     The kernel works on packed bit planes of shape (N, ceil(B/8)) uint8,
     positions-major: bit k of byte j in row i belongs to frame 8j + k, so
@@ -278,13 +304,9 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
 
         f node:  E = El | Er     g node:  E = El & Er     fault:  E |= hits
 
-    In genie mode codeword (which may be None) serves only the u_hat bits:
-    they are encode(codeword) where the decision is not erased, or 0 with
-    None, as for the all-zero word.
-
-    The inputs are packed once and the decisions unpacked once at the end;
-    pad frames in the last byte stay zero and non-erased and are dropped on
-    unpack.
+    The result is the decision level: (E, S) without the genie, (E,) with
+    it. Rows of skipped decisions are unspecified; in the others the pad
+    frames of the last byte are never erased, so their E bits are 0.
     """
     batch, size = erased.shape
     n = size.bit_length() - 1
@@ -297,12 +319,16 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     channel = (_pack_frames(erased),) + ((_pack_frames(codeword),) if signs else ())
     nbytes = channel[0].shape[1]
 
+    info = ~frozen_mask
+    needed = np.ones(size, dtype=bool) if read is None else read | info
     if signs:
         # bits[L] holds, over completed aligned blocks of width 2**L, the
         # polar-transformed decisions of that block's leaves (the partial
         # sums).
         bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
         scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
+        has_info = _block_any(info, n)
+    live = _block_any(needed, n)
     msgs = [tuple(np.empty((size, nbytes), dtype=np.uint8) for _ in channel)
             for _ in range(n)] + [channel]
     decision = msgs[0]
@@ -343,11 +369,14 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     for i0 in range(size):
         top = n - 1 if recompute_all or i0 == 0 else (i0 & -i0).bit_length() - 1
         for level in range(top, -1, -1):
-            node(level, i0)
+            if (needed[i0] if recompute_all else live[level][i0 >> level]):
+                node(level, i0)
+            elif stream is not None and level >= faulty_min_level:
+                stream.take(1 << level)  # the skipped node's hits
 
         if not signs:
             continue
-        if not frozen_mask[i0]:
+        if info[i0]:
             # continuation convention: an erased decision feeds 0 forward
             row = bits[0][i0]
             np.bitwise_and(decision[1][i0], decision[0][i0], out=row)
@@ -355,32 +384,17 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
         level = 1
         while level < n and (i0 + 1) & ((1 << level) - 1) == 0:
             base = (i0 + 1) - (1 << level)
-            half = 1 << (level - 1)
-            left = bits[level - 1][base:base + half]
-            right = bits[level - 1][base + half:base + 2 * half]
-            np.bitwise_xor(left, right, out=bits[level][base:base + half])
-            bits[level][base + half:base + 2 * half] = right
+            if has_info[level][base >> level]:
+                half = 1 << (level - 1)
+                left = bits[level - 1][base:base + half]
+                right = bits[level - 1][base + half:base + 2 * half]
+                np.bitwise_xor(left, right, out=bits[level][base:base + half])
+                bits[level][base + half:base + 2 * half] = right
             level += 1
 
     if stream is not None and stream.pos != stream.hits.shape[0]:
         raise InternalInvariantError("fault hit stream not fully consumed")
-
-    dec_erased = decision[0]
-    if signs:
-        dec_sign = decision[1]
-    elif codeword is None:  # the all-zero word
-        dec_sign = np.zeros_like(dec_erased)
-    else:  # the true word, which every genie decision that is known reads
-        dec_sign = _pack_frames(codeword)
-        _polar_transform(dec_sign)
-    decided = np.bitwise_and(dec_sign, dec_erased)
-    np.bitwise_xor(decided, dec_sign, out=decided)
-    decided[frozen_mask] = 0
-    erased_info = dec_erased.copy()
-    erased_info[frozen_mask] = 0
-    u_hat = _unpack_frames(decided, batch)
-    np.subtract(u_hat, _unpack_frames(erased_info, batch), out=u_hat)
-    return u_hat.view(np.int8), _unpack_frames(dec_erased, batch).view(bool)
+    return decision
 
 
 def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
@@ -419,28 +433,27 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         if true_u is None:
             raise ValueError("genie decoding requires the true input word")
         known = _as_bit_array(true_u, "true_u").reshape(code.N)
-        codeword = encode(np.where(code.frozen_mask, np.int8(0), known))
+        sent = np.where(code.frozen_mask, np.int8(0), known)
         # the erasure-only genie kernel is exact only for a consistent frame
-        if np.any(~erased & (codeword != (y_arr < 0))):
+        if np.any(~erased & (encode(sent) != (y_arr < 0))):
             raise ValueError("y disagrees with encode(true_u), frozen bits zeroed, "
                              "at a non-erased position")
-    else:
-        codeword = y_arr < 0
     slots = fault_slot_count(code.n, fault, mode)
     hits = None
     if slots:
         if rng is None:
             raise ValueError("an rng is required when fault injection is active")
         hits = rng.random((1, slots)) < fault.delta
-    u_hat_full, erased_full = _decode_batch(
-        erased.reshape(1, code.N), code.frozen_mask, fault, mode, genie,
-        codeword.reshape(1, code.N), hits,
-    )
+    planes = _decode_batch(erased.reshape(1, code.N), code.frozen_mask, fault, mode,
+                           genie, None if genie else (y_arr < 0).reshape(1, code.N), hits)
+    erased_full = _unpack_frames(planes[0], 1)[0].view(bool)
+    # every known genie decision is the sent bit; otherwise it reads S & ~E
+    bits = sent if genie else _unpack_frames(planes[1], 1)[0].view(np.int8)
     info0 = code.info_indices - 1
-    u_hat = u_hat_full[0, info0]
-    erased_info = u_hat == ERASED_BIT
+    erased_info = erased_full[info0]
+    u_hat = np.where(erased_info, np.int8(ERASED_BIT), bits[info0])
     frame_erased = bool(erased_info.any())
     first = int(code.info_indices[int(np.argmax(erased_info))]) if frame_erased else None
     return DecodeResult(u_hat=u_hat, frame_erased=frame_erased,
                         first_erasure_index=first,
-                        decision_erased=erased_full[0])
+                        decision_erased=erased_full)

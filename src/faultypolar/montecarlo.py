@@ -19,7 +19,8 @@ fixed-size blocks and kept as one byte per draw. Source bits are the top
 bit of each byte of the words, the values Generator.integers(0, 2,
 dtype=int8) returns. The decoder takes the channel-erasure mask and,
 without the genie, the encoded source word; no {-1, 0, +1} channel array
-is built.
+is built. It returns packed decision planes, eight trials to a byte, and
+the counts are popcounts of their rows.
 """
 
 from __future__ import annotations
@@ -113,25 +114,28 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
     """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
     Per frame: its bool fault-hit row and (B, N) int8/bool planes: the
-    channel-erasure mask plus two of u_hat, its unpack temporary,
-    decision_erased and the information columns gathered for the counts;
-    without the genie, u and its codeword add two more. Per group of eight
-    frames, one byte per fault slot for the packed hits and one byte per
-    position for each packed plane. Both modes keep log2 N message levels,
-    the decisions being the lowest. Without the genie: two message planes
-    (E and S) and one partial-sum plane per level, and at most 9 more (the
-    channel's E and S, the two output planes and the g-node scratch). In
-    genie mode, E planes only: one message plane per level and at most 6
-    more (the channel, the true-word plane and the two output planes). A
-    group is paid in full even when fewer than eight frames share it.
-    Fixed scratch (a block of raw words and the decoder's packing buffers,
-    64 KiB each) is not counted.
+    channel-erasure mask and, without the genie, u and its codeword. Per
+    group of eight frames, one byte per fault slot for the packed hits and
+    one byte per position for each packed plane. Both modes keep log2 N
+    message levels, the decisions being the lowest, and the decoder returns
+    that level, on which the counts are taken. Without the genie: two
+    message planes (E and S) and one partial-sum plane per level, the
+    channel's E and S and a half-height g-node scratch. In genie mode, E
+    planes only: one per level and the channel's. A group is paid in full
+    even when fewer than eight frames share it. Per chunk, at most 13 bytes
+    per position: the int64 information indices and five bool masks over
+    the positions (the information set, in the chunk and in the decoder,
+    the decoded set and the block pyramids of both). Fixed scratch (a block
+    of raw words and the packing buffers, 64 KiB each) is not counted.
     """
     size = 1 << n
-    planes, packed = (3, 6 + n) if genie else (5, 9 + max(n, 1) + 2 * n)
+    if genie:
+        planes, packed = 1, (1 + n) * size
+    else:
+        planes, packed = 3, (2 + max(n, 1) + 2 * n) * size + size // 2
     per_frame = slots + planes * size
-    per_group = slots + packed * size
-    return batch * per_frame + -(-batch // 8) * per_group
+    per_group = slots + packed
+    return batch * per_frame + -(-batch // 8) * per_group + 13 * size
 
 
 @dataclass(frozen=True)
@@ -233,15 +237,21 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
         if slots:
             _draw_mask(bitgens[ROLE_FAULTS], fault_threshold, hits[row])
 
-    # only the erasures count; dropping u_hat at once bounds the live planes
+    # a genie run counts every decision, so it decodes them all; any other
+    # run reads the information decisions alone
+    info = ~code.frozen_mask
     decision_erased = _decode_batch(
         erased, code.frozen_mask, config.fault, config.fault.correlation_mode,
-        config.genie, None if u is None else encode(u), hits)[1]
+        config.genie, None if u is None else encode(u), hits,
+        read=None if config.genie else info)[0]
 
-    erased_info = decision_erased[:, info0]
-    frame_erasures = int(erased_info.any(axis=1).sum())
-    info_bit_erasures = int(erased_info.sum())
-    per_bit = decision_erased.sum(axis=0, dtype=np.int64) if config.genie else None
+    # packed rows: bit k of byte j is trial start + 8j + k; pad bits are 0
+    erased_info = decision_erased[info]
+    frame_erasures = int(np.bitwise_count(np.bitwise_or.reduce(erased_info, axis=0)).sum())
+    info_bit_erasures = int(np.bitwise_count(erased_info).sum())
+    per_bit = None
+    if config.genie:
+        per_bit = np.bitwise_count(decision_erased).sum(axis=1, dtype=np.int64)
     return frame_erasures, info_bit_erasures, per_bit
 
 

@@ -16,7 +16,7 @@ from faultypolar import (
     transmit_bec,
     variable_node,
 )
-from faultypolar.codec import _decode_batch, fault_slot_count
+from faultypolar.codec import _decode_batch, _unpack_frames, fault_slot_count
 
 NEG, ERA, POS = TernaryLLR.NEG_INFINITE, TernaryLLR.ERASED, TernaryLLR.POS_INFINITE
 
@@ -28,6 +28,23 @@ def kron_transform(n):
     for _ in range(n):
         g = np.kron(g, kernel)
     return g
+
+
+def _decided(planes, batch, frozen_mask, true_u=None):
+    """(u_hat, decision_erased) rows of _decode_batch's packed decision planes.
+
+    u_hat holds 0, 1 or ERASED_BIT at every information position and 0 at
+    the frozen ones. A decision that is not erased reads the sign plane or,
+    under the genie (E plane alone), the true word true_u.
+    """
+    erased = _unpack_frames(planes[0], batch).view(bool)
+    if len(planes) == 2:
+        bits = _unpack_frames(planes[1], batch).view(np.int8)
+    else:
+        bits = np.asarray(true_u, dtype=np.int8)
+    u_hat = np.where(erased, np.int8(ERASED_BIT), bits)
+    u_hat[:, frozen_mask] = 0
+    return u_hat, erased
 
 
 def test_encode_against_matrix_oracle():
@@ -155,8 +172,8 @@ def test_round_trip_random_n1024():
     u = np.zeros((1000, 1024), np.int8)
     u[:, info0] = rng.integers(0, 2, size=(1000, 512), dtype=np.int8)
     y = (1 - 2 * encode(u)).astype(np.int8)
-    u_hat, erased = _decode_batch(y == 0, code.frozen_mask, FaultSpec(), "shared",
-                                  False, y < 0, None)
+    planes = _decode_batch(y == 0, code.frozen_mask, FaultSpec(), "shared", False, y < 0, None)
+    u_hat, erased = _decided(planes, 1000, code.frozen_mask)
     assert not erased.any()
     assert np.array_equal(u_hat, u)
 
@@ -381,7 +398,8 @@ def test_decode_batch_matches_reference(n, mode):
         true_u[:, frozen_mask] = rng.integers(0, 2, (batch, int(frozen_mask.sum())))
         slots = fault_slot_count(n, fault, mode)
         hits = rng.random((batch, slots)) < delta if slots else None
-        u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
+        planes = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
+        u_hat, erased = _decided(planes, batch, frozen_mask, u)
         for row in range(batch):
             ref = _reference_decode(y[row], frozen_mask, fault, mode, genie, true_u[row],
                                     None if hits is None else hits[row])
@@ -405,12 +423,14 @@ def test_genie_erasures_do_not_depend_on_the_codeword(n, mode):
         hits = rng.random((batch, slots)) < delta if slots else None
         blind = _decode_batch(y == 0, frozen_mask, fault, mode, True, None, hits)
         told = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(u), hits)
+        zero = _decode_batch(y == 0, frozen_mask, fault, mode, False,
+                             np.zeros_like(u), hits)
         case = (delta, steps, batch)
-        assert np.array_equal(blind[1], told[1]), case
-        assert np.array_equal(blind[0] == ERASED_BIT, told[0] == ERASED_BIT), case
-        assert not blind[0].any(where=blind[0] != ERASED_BIT), case
-        known = told[0] != ERASED_BIT
-        assert np.array_equal(told[0][known], u[known]), case
+        assert len(blind) == len(told) == 1, case  # the genie carries no signs
+        assert np.array_equal(blind[0], told[0]), case
+        assert np.array_equal(blind[0], zero[0]), case
+        u_hat, erased = _decided(zero, batch, frozen_mask)
+        assert not u_hat[~erased].any(), case  # every known decision is right
 
 
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])
@@ -424,12 +444,14 @@ def test_erased_feedback_cancels_opposing_infinities(mode):
     y = np.array([[-1, 1], [1, 1]], dtype=np.int8)
     hits = np.array([[True, False], [True, False]])
     assert fault_slot_count(1, fault, mode) == 2
-    u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
+    planes = _decode_batch(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
+    u_hat, erased = _decided(planes, 2, frozen_mask)
     assert u_hat.tolist() == [[ERASED_BIT, ERASED_BIT], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, True], [True, False]]
     # the genie feeds the true first bit and the g node resolves
     true_u = np.array([[1, 0], [0, 0]], dtype=np.int8)
-    u_hat, erased = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(true_u), hits)
+    planes = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(true_u), hits)
+    u_hat, erased = _decided(planes, 2, frozen_mask, true_u)
     assert u_hat.tolist() == [[ERASED_BIT, 0], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, False], [True, False]]
 
@@ -443,9 +465,51 @@ def test_decode_batch_rows_independent_of_batching(mode, genie):
     frozen_mask = rng.random(1 << n) < 0.5
     u, y = _random_batch(rng, n, batch, frozen_mask, 0.4)
     hits = rng.random((batch, fault_slot_count(n, fault, mode))) < fault.delta
-    together = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
+    together = _decided(_decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits),
+                        batch, frozen_mask, u)
     for row in range(batch):
-        alone = _decode_batch(y[row:row + 1] == 0, frozen_mask, fault, mode, genie,
-                              encode(u[row:row + 1]), hits[row:row + 1])
+        alone = _decided(_decode_batch(y[row:row + 1] == 0, frozen_mask, fault, mode, genie,
+                                       encode(u[row:row + 1]), hits[row:row + 1]),
+                         1, frozen_mask, u[row:row + 1])
         assert np.array_equal(alone[0][0], together[0][row])
         assert np.array_equal(alone[1][0], together[1][row])
+
+
+def _packed_counts(erased_plane, info, batch):
+    """Frame and information-bit erasures counted on packed rows, as a simulation does."""
+    rows = erased_plane[info]
+    pad = np.uint8(0xFF << (batch % 8) & 0xFF) if batch % 8 else np.uint8(0)
+    assert not (rows[:, -1] & pad).any()  # pad frames count 0
+    frames = np.bitwise_or.reduce(rows, axis=0)
+    return rows, int(np.bitwise_count(frames).sum()), int(np.bitwise_count(rows).sum())
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+@pytest.mark.parametrize("n", range(0, 9))
+def test_reading_the_information_decisions_alone_is_exact(n, mode):
+    # skipping the nodes that feed only unread frozen decisions changes no
+    # information decision, frame count or bit count
+    rng = np.random.default_rng(300 + n)
+    size = 1 << n
+    batch = 13
+    for delta, steps, k in itertools.product((0.0, 0.05, 1.0), (None, 0, 1, n),
+                                             sorted({1, size // 2, size - 1})):
+        fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
+        if 0 < k < size:
+            info = ~construct_code(n, 0.4, fault, k).frozen_mask
+        else:  # n = 0: a code needs 1 <= k < N, so set the lone bit directly
+            info = np.full(size, k > 0)
+        u, y = _random_batch(rng, n, batch, ~info, 0.3)
+        slots = fault_slot_count(n, fault, mode)
+        hits = rng.random((batch, slots)) < delta if slots else None
+        args = (y == 0, ~info, fault, mode, False, encode(u), hits)
+        full = _decode_batch(*args)
+        skipped = _decode_batch(*args, read=info)
+        case = (delta, steps, k)
+        counted = [_packed_counts(planes[0], info, batch) for planes in (full, skipped)]
+        assert np.array_equal(counted[0][0], counted[1][0]), case
+        assert counted[0][1:] == counted[1][1:], case
+        signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
+        assert np.array_equal(*signs), case
+        erased = _unpack_frames(full[0], batch).view(bool)[:, info]
+        assert counted[0][1:] == (erased.any(axis=1).sum(), erased.sum()), case

@@ -61,6 +61,20 @@ SIMULATE_GOLDENS = {
          "--mode", "shared", "--trials", "400", "--seed", "29"],
         {"sim.csv": "37da800b28274f0a161e9204784aa1a56ced77a33ef2e36288bd3613e0dbc32b"},
     ),
+    # low-rate non-genie independent-tree decoder: most bits are frozen, so
+    # most per-bit trees feed no counted decision
+    "tree-low-rate": (
+        ["simulate", "--n", "6", "--p", "0.3", "--delta", "0.02", "--rate", "0.125",
+         "--mode", "independent-tree", "--trials", "400", "--seed", "31"],
+        {"sim.csv": "e80bad50876396b086bf9d4aa222339afea6360a4b7dd628cb4a772cbe8dfba4"},
+    ),
+    # non-genie shared decoder with the root levels protected (--np 3 of 9)
+    # and frozen subtrees on both sides of the protection boundary
+    "shared-np3": (
+        ["simulate", "--n", "9", "--p", "0.35", "--delta", "0.005", "--rate", "0.45",
+         "--mode", "shared", "--np", "3", "--trials", "300", "--seed", "37"],
+        {"sim.csv": "527ebb89ad3a8585e0881e31609f00fd073e796f26b88eeeff2d119ae3cd8155"},
+    ),
 }
 
 # construct and the four sweeps of acceptance criterion 10

@@ -283,9 +283,9 @@ def test_fault_row_longer_than_draw_block(monkeypatch):
     seen = []
     decode = montecarlo._decode_batch
 
-    def capture(*args):
+    def capture(*args, **kwargs):
         seen.append(args[-1].copy())
-        return decode(*args)
+        return decode(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_decode_batch", capture)
     run_simulation(config)
@@ -337,13 +337,14 @@ def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
 
 
 def test_trial_bytes_admit_the_documented_sizes():
-    # a lone trial: its hit row and int8/bool (B, N) planes, plus a packed
-    # group of eight frames at one byte per fault slot and per plane position
+    # a lone trial: its hit row and int8/bool (B, N) planes, a packed group
+    # of eight frames at one byte per fault slot and per plane position, and
+    # the chunk's index array and position masks at 13 bytes per position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots) == 2 * slots + (5 + 9 + 24) * 256
-    assert _trial_bytes(10, 10 * 1024) == 2 * 10 * 1024 + (5 + 9 + 30) * 1024
+    assert _trial_bytes(8, slots) == 2 * slots + (3 + 2 + 24 + 13) * 256 + 128
+    assert _trial_bytes(10, 10 * 1024) == 2 * 10 * 1024 + (3 + 2 + 30 + 13) * 1024 + 512
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
@@ -356,10 +357,10 @@ def test_trial_bytes_admit_the_documented_sizes():
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes each: 496 MiB in all
+    # allocates its packed planes at N bytes each: 514 MiB in all
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots) == 496 * 2**20 > TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 514 * 2**20 > TRIAL_BYTES_CEILING
 
 
 @pytest.mark.parametrize("n, mode, genie, batch", [
@@ -400,7 +401,7 @@ def test_genie_trial_bytes_admit_the_same_sizes():
 ])
 def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
     # the genie count leaves out u, its codeword, the sign planes and the
-    # partial sums; k = N - 1 gathers the most information columns
+    # partial sums; k = N - 1 selects the most information rows
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=k, p=0.4, delta=0.01, trials=batch, mode=mode, genie=True)
     slots = fault_slot_count(n, config.fault, config.fault.correlation_mode)
@@ -422,7 +423,9 @@ def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
 ])
 def test_trial_bytes_bound_a_chunk_without_fault_slots(n, mode, genie, batch, k):
     # delta = 0 draws no fault slots, so the packed planes alone fill the
-    # per-group count: one layout of log2 N message levels in either mode
+    # per-group count: one layout of log2 N message levels in either mode.
+    # The count is what the chunk holds at its peak: it may leave out the
+    # fixed scratch, and it may not overstate the peak by more than a tenth
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=k, p=0.4, delta=0.0, trials=batch, mode=mode, genie=genie)
     assert fault_slot_count(n, config.fault, mode) == 0
@@ -433,7 +436,8 @@ def test_trial_bytes_bound_a_chunk_without_fault_slots(n, mode, genie, batch, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _trial_bytes(n, 0, batch, genie) + fixed_scratch
+    count = _trial_bytes(n, 0, batch, genie)
+    assert 0.9 * count <= peak <= count + fixed_scratch
 
 
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])

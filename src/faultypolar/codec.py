@@ -157,13 +157,9 @@ def _pack_frames(cells: np.ndarray) -> np.ndarray:
     temporary of the input's size appears. Eight cells of a row share one
     uint64 word when the rows are contiguous and W is a multiple of 8;
     shifting a 0/1 cell by fewer than 8 bits never leaves its byte, so the
-    loop treats uint64 and single-cell uint8 words alike. A column-major
-    input, such as _unpack_frames returns, holds each position's frames
-    contiguously, so np.packbits packs it directly.
+    loop treats uint64 and single-cell uint8 words alike.
     """
     batch, width = cells.shape
-    if cells.flags.f_contiguous:
-        return np.packbits(cells.T, axis=1, bitorder="little")
     nbytes = -(-batch // 8)
     out = np.empty((width, nbytes), dtype=np.uint8)
     wide = cells.flags.c_contiguous and width % 8 == 0
@@ -251,18 +247,20 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                   fault_hits: np.ndarray | None, *, read: np.ndarray | None = None):
     """Decode a (B, N) batch of frames; returns the packed decision planes.
 
-    erased is the (B, N) bool channel-erasure mask and codeword the (B, N)
-    0/1 codeword bits. The BEC never lies, so where it does not erase it
-    reports the codeword bit: the codeword is the channel's sign plane, and
-    its bits at erased positions are don't-care. The genie kernel carries
-    no signs and ignores codeword, which may be None.
+    erased is the (B, N) bool channel-erasure mask and codeword the
+    codeword bits as an (N, ceil(B/8)) packed plane, laid out as
+    _pack_frames lays it out. The BEC never lies, so where it does not
+    erase it reports the codeword bit: the codeword is the channel's sign
+    plane, and its bits at erased positions are don't-care. The genie
+    kernel carries no signs and ignores codeword, which may be None.
 
-    fault_hits is a (B, fault_slot_count) bool array holding, for each
-    frame, its fault uniforms already turned into hits (uniform < delta).
-    Each message takes the next hit in the fixed schedule and is erased
-    where it is set. The schedule is data-independent, so two runs seeing
-    the same per-frame hit rows produce identical results no matter how
-    frames are grouped into batches.
+    fault_hits is the (fault_slot_count, ceil(B/8)) packed plane of the
+    frames' fault hits (uniform < delta): bit k of byte j in row s is slot
+    s of frame 8j + k, and pad bits are 0. Its memory order is free. Each
+    message takes the next hit in the fixed schedule and is erased where
+    it is set. The schedule is data-independent, so two runs seeing the
+    same per-frame hits produce identical results no matter how frames
+    are grouped into batches.
 
     Levels 0 (the decisions) to n - 1 hold N message rows each, level n
     is the channel. Bit i, in order, recomputes from a top level down its
@@ -313,10 +311,10 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     faulty_min_level = n - fault.effective_steps(n)
     stream = None
     if fault_hits is not None and fault.delta > 0:
-        stream = _HitStream(_pack_frames(fault_hits))
+        stream = _HitStream(fault_hits)
 
     signs = not genie
-    channel = (_pack_frames(erased),) + ((_pack_frames(codeword),) if signs else ())
+    channel = (_pack_frames(erased),) + ((codeword,) if signs else ())
     nbytes = channel[0].shape[1]
 
     info = ~frozen_mask
@@ -443,9 +441,10 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
     if slots:
         if rng is None:
             raise ValueError("an rng is required when fault injection is active")
-        hits = rng.random((1, slots)) < fault.delta
+        hits = _pack_frames(rng.random((1, slots)) < fault.delta)
+    codeword = None if genie else _pack_frames((y_arr < 0).reshape(1, code.N))
     planes = _decode_batch(erased.reshape(1, code.N), code.frozen_mask, fault, mode,
-                           genie, None if genie else (y_arr < 0).reshape(1, code.N), hits)
+                           genie, codeword, hits)
     erased_full = _unpack_frames(planes[0], 1)[0].view(bool)
     # every known genie decision is the sent bit; otherwise it reads S & ~E
     bits = sent if genie else _unpack_frames(planes[1], 1)[0].view(np.int8)

@@ -8,19 +8,21 @@ each role has its own counter, so the other two streams are unchanged.
 The counter-based derivation makes each stream independent of batching and
 thread count, so a SimConfig pins the outcome bit for bit.
 
-A chunk of trials builds one generator per role and, before each trial,
-rewinds it to that trial's counter; because Philox is counter-based this
-yields exactly the stream a freshly built generator would. Every draw
-reads raw 64-bit Philox words. A uniform is still (w >> 11) * 2**-53, the
-value Generator.random returns, but the test uniform < q runs on the
-integer word against a bound fixed once per chunk, so no float is made.
-Channel and fault masks (uniform < p, uniform < delta) are drawn in
-fixed-size blocks and kept as one byte per draw. Source bits are the top
-bit of each byte of the words, the values Generator.integers(0, 2,
-dtype=int8) returns. The decoder takes the channel-erasure mask and,
-without the genie, the encoded source word; no {-1, 0, +1} channel array
-is built. It returns packed decision planes, eight trials to a byte, and
-the counts are popcounts of their rows.
+A chunk of trials builds one generator per role, eight for the faults
+(one per lane, the k-th trial of each group of eight), and rewinds each to
+its trial's counter; because Philox is counter-based this yields exactly
+the stream a freshly built generator would. Every draw reads raw 64-bit
+Philox words. A uniform is still (w >> 11) * 2**-53, the value
+Generator.random returns, but the test uniform < q runs on the integer
+word against a bound fixed once per chunk, so no float is made.
+The channel mask (uniform < p) is drawn in fixed-size blocks and kept as
+one byte per draw. Source bits are the top bit of each byte of the words,
+the values Generator.integers(0, 2, dtype=int8) returns. Source bits and
+fault hits (uniform < delta) are packed as they are drawn, eight trials
+to a byte, so no per-trial row of them is kept. The decoder takes the
+channel-erasure mask and, without the genie, the packed codeword; no
+{-1, 0, +1} channel array is built. It returns packed decision planes,
+and the counts are popcounts of their rows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fer_proxy
-from .codec import _decode_batch, encode, fault_slot_count
+from .codec import _decode_batch, _polar_transform, fault_slot_count
+from .codec import encode  # noqa: F401  (perfbench times montecarlo.encode)
 from .construction import CodeConstruction
 from .core import FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
@@ -113,29 +116,28 @@ def _source_bits(bitgen: np.random.BitGenerator, k: int) -> np.ndarray:
 def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int:
     """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
-    Per frame: its bool fault-hit row and (B, N) int8/bool planes: the
-    channel-erasure mask and, without the genie, u and its codeword. Per
-    group of eight frames, one byte per fault slot for the packed hits and
-    one byte per position for each packed plane. Both modes keep log2 N
-    message levels, the decisions being the lowest, and the decoder returns
-    that level, on which the counts are taken. Without the genie: two
-    message planes (E and S) and one partial-sum plane per level, the
-    channel's E and S and a half-height g-node scratch. In genie mode, E
-    planes only: one per level and the channel's. A group is paid in full
-    even when fewer than eight frames share it. Per chunk, at most 13 bytes
+    Per frame: its row of the (B, N) bool channel-erasure mask. Per group
+    of eight frames, one byte per fault slot for the packed hits and one
+    byte per position for each packed plane. Both modes keep log2 N message
+    levels, the decisions being the lowest, and the decoder returns that
+    level, on which the counts are taken. Without the genie: two message
+    planes (E and S) and one partial-sum plane per level, the channel's E
+    and S (the codeword plane) and a half-height g-node scratch. In genie
+    mode, E planes only: one per level and the channel's. A group is paid
+    in full even when fewer than eight frames share it. Per chunk, 13 bytes
     per position: the int64 information indices and five bool masks over
     the positions (the information set, in the chunk and in the decoder,
-    the decoded set and the block pyramids of both). Fixed scratch (a block
-    of raw words and the packing buffers, 64 KiB each) is not counted.
+    the decoded set and the block pyramids of both); without the genie, 8
+    more for the eight lanes of source bits. Fixed scratch (the eight lanes
+    of fault hits, a block of raw words and the packing buffers, 64 KiB
+    each) is not counted.
     """
     size = 1 << n
     if genie:
-        planes, packed = 1, (1 + n) * size
+        packed, chunk = (1 + n) * size, 13 * size
     else:
-        planes, packed = 3, (2 + max(n, 1) + 2 * n) * size + size // 2
-    per_frame = slots + planes * size
-    per_group = slots + packed
-    return batch * per_frame + -(-batch // 8) * per_group + 13 * size
+        packed, chunk = (2 + max(n, 1) + 2 * n) * size + size // 2, 21 * size
+    return batch * size + -(-batch // 8) * (slots + packed) + chunk
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,37 @@ def binomial_ci95(count: int, n: int) -> tuple[float, float]:
     return max(0.0, phat - half), min(1.0, phat + half)
 
 
+def _pack_lanes(lanes: np.ndarray) -> np.ndarray:
+    """Pack a C-contiguous (8, m) array of 0/1 bytes into m bytes, in place.
+
+    Bit k of byte j of the result is lanes[k, j]. Three shift-OR pairs fold
+    rows 4-7 onto rows 0-3, then 2-3 onto 0-1, then 1 onto 0, on uint64
+    words (eight cells a word) or on single bytes when m is not a multiple
+    of 8; a 0/1 cell shifted by fewer than 8 bits never leaves its byte.
+    Returns a view of the first row; the other rows are left unspecified.
+    """
+    words = lanes.view(np.uint64 if lanes.shape[1] % 8 == 0 else np.uint8)
+    for half in (4, 2, 1):
+        src = words[half:2 * half]
+        np.left_shift(src, half, out=src)
+        np.bitwise_or(words[:half], src, out=words[:half])
+    return lanes[0].view(np.uint8)
+
+
 def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
-    """Simulate trials [start, stop); returns integer counts only."""
+    """Simulate trials [start, stop); returns integer counts only.
+
+    Trials run in groups of eight, the frames of one byte of the decoder's
+    packed planes. The channel-erasure mask is a (B, N) bool array, one row
+    per trial. The source words and the fault hits are packed as they are
+    drawn: each lane of a group (frame k of the group) draws into a fixed
+    eight-row scratch, and _pack_lanes folds the rows into the group's
+    bytes. The source plane is positions-major, and the polar transform
+    turns it into the codeword plane in place. The hit plane is
+    group-major, so a group's hits are one contiguous run; the decoder
+    reads its transpose. Each lane owns a fault generator, rewound once per
+    group and drawn block by block, so no (B, slots) array is built.
+    """
     code = config.code
     size = code.N
     batch = stop - start
@@ -217,32 +248,54 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     seed = config.master_seed
 
     # genie runs draw no source word: their erasures do not depend on it
-    roles = (ROLE_CHANNEL, ROLE_FAULTS) if config.genie else (
-        ROLE_SOURCE, ROLE_CHANNEL, ROLE_FAULTS)
+    roles = (ROLE_CHANNEL,) if config.genie else (ROLE_SOURCE, ROLE_CHANNEL)
     bitgens = {role: substream(seed, start, role).bit_generator for role in roles}
     states = [(bitgens[role], _substream_state(seed, start, role)) for role in roles]
+    lanes = [(substream(seed, start + lane, ROLE_FAULTS).bit_generator,
+              _substream_state(seed, start + lane, ROLE_FAULTS))
+             for lane in range(min(8, batch))] if slots else []
     channel_threshold = _word_threshold(config.channel_erasure)
     fault_threshold = _word_threshold(config.fault.delta)
 
-    u = None if config.genie else np.zeros((batch, size), dtype=np.int8)
+    nbytes = -(-batch // 8)
     erased = np.empty((batch, size), dtype=bool)
-    hits = np.empty((batch, slots), dtype=bool) if slots else None
-    for row, trial in enumerate(range(start, stop)):
-        for bitgen, state in states:
-            state["state"]["counter"][1] = trial
+    codeword = None if config.genie else np.zeros((size, nbytes), dtype=np.uint8)
+    source = None if codeword is None else np.empty((8, k), dtype=np.uint8)
+    # group-major, so each group's packed hits are one contiguous run; the
+    # decoder reads the transpose, a (slots, nbytes) view
+    hits = np.empty((nbytes, slots), dtype=np.uint8) if slots else None
+    drawn = np.empty(8 * min(_DRAW_BLOCK, slots), dtype=bool)
+    for group, first in enumerate(range(start, stop, 8)):
+        width = min(8, stop - first)
+        for lane, trial in enumerate(range(first, first + width)):
+            for bitgen, state in states:
+                state["state"]["counter"][1] = trial
+                bitgen.state = state
+            if source is not None:
+                source[lane] = _source_bits(bitgens[ROLE_SOURCE], k)
+            _draw_mask(bitgens[ROLE_CHANNEL], channel_threshold, erased[trial - start])
+        if source is not None:
+            source[width:] = 0  # pad frames send the all-zero word
+            codeword[info0, group] = _pack_lanes(source)
+        for lane, (bitgen, state) in enumerate(lanes[:width]):
+            state["state"]["counter"][1] = first + lane
             bitgen.state = state
-        if u is not None:
-            u[row, info0] = _source_bits(bitgens[ROLE_SOURCE], k)
-        _draw_mask(bitgens[ROLE_CHANNEL], channel_threshold, erased[row])
-        if slots:
-            _draw_mask(bitgens[ROLE_FAULTS], fault_threshold, hits[row])
+        for pos in range(0, slots, _DRAW_BLOCK):
+            m = min(_DRAW_BLOCK, slots - pos)
+            rows = drawn[:8 * m].reshape(8, m)
+            for lane, (bitgen, _) in enumerate(lanes[:width]):
+                _draw_mask(bitgen, fault_threshold, rows[lane])
+            rows[width:] = False  # pad frames are never hit
+            hits[group, pos:pos + m] = _pack_lanes(rows)
+    if codeword is not None:
+        _polar_transform(codeword)
 
     # a genie run counts every decision, so it decodes them all; any other
     # run reads the information decisions alone
     info = ~code.frozen_mask
     decision_erased = _decode_batch(
         erased, code.frozen_mask, config.fault, config.fault.correlation_mode,
-        config.genie, None if u is None else encode(u), hits,
+        config.genie, codeword, None if hits is None else hits.T,
         read=None if config.genie else info)[0]
 
     # packed rows: bit k of byte j is trial start + 8j + k; pad bits are 0

@@ -16,7 +16,7 @@ from faultypolar import (
     transmit_bec,
     variable_node,
 )
-from faultypolar.codec import _decode_batch, _unpack_frames, fault_slot_count
+from faultypolar.codec import _decode_batch, _pack_frames, _unpack_frames, fault_slot_count
 
 NEG, ERA, POS = TernaryLLR.NEG_INFINITE, TernaryLLR.ERASED, TernaryLLR.POS_INFINITE
 
@@ -28,6 +28,14 @@ def kron_transform(n):
     for _ in range(n):
         g = np.kron(g, kernel)
     return g
+
+
+def _decode_dense(erased, frozen_mask, fault, mode, genie, codeword, hits, **kwargs):
+    """_decode_batch on (B, N) codeword bits and (B, slots) hits, packed here."""
+    def pack(cells):
+        return None if cells is None else _pack_frames(cells)
+    return _decode_batch(erased, frozen_mask, fault, mode, genie, pack(codeword),
+                         pack(hits), **kwargs)
 
 
 def _decided(planes, batch, frozen_mask, true_u=None):
@@ -172,7 +180,7 @@ def test_round_trip_random_n1024():
     u = np.zeros((1000, 1024), np.int8)
     u[:, info0] = rng.integers(0, 2, size=(1000, 512), dtype=np.int8)
     y = (1 - 2 * encode(u)).astype(np.int8)
-    planes = _decode_batch(y == 0, code.frozen_mask, FaultSpec(), "shared", False, y < 0, None)
+    planes = _decode_dense(y == 0, code.frozen_mask, FaultSpec(), "shared", False, y < 0, None)
     u_hat, erased = _decided(planes, 1000, code.frozen_mask)
     assert not erased.any()
     assert np.array_equal(u_hat, u)
@@ -398,7 +406,7 @@ def test_decode_batch_matches_reference(n, mode):
         true_u[:, frozen_mask] = rng.integers(0, 2, (batch, int(frozen_mask.sum())))
         slots = fault_slot_count(n, fault, mode)
         hits = rng.random((batch, slots)) < delta if slots else None
-        planes = _decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
+        planes = _decode_dense(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
         u_hat, erased = _decided(planes, batch, frozen_mask, u)
         for row in range(batch):
             ref = _reference_decode(y[row], frozen_mask, fault, mode, genie, true_u[row],
@@ -421,9 +429,9 @@ def test_genie_erasures_do_not_depend_on_the_codeword(n, mode):
         u, y = _random_batch(rng, n, batch, frozen_mask, rng.uniform(0.1, 0.6))
         slots = fault_slot_count(n, fault, mode)
         hits = rng.random((batch, slots)) < delta if slots else None
-        blind = _decode_batch(y == 0, frozen_mask, fault, mode, True, None, hits)
-        told = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(u), hits)
-        zero = _decode_batch(y == 0, frozen_mask, fault, mode, False,
+        blind = _decode_dense(y == 0, frozen_mask, fault, mode, True, None, hits)
+        told = _decode_dense(y == 0, frozen_mask, fault, mode, True, encode(u), hits)
+        zero = _decode_dense(y == 0, frozen_mask, fault, mode, False,
                              np.zeros_like(u), hits)
         case = (delta, steps, batch)
         assert len(blind) == len(told) == 1, case  # the genie carries no signs
@@ -444,13 +452,13 @@ def test_erased_feedback_cancels_opposing_infinities(mode):
     y = np.array([[-1, 1], [1, 1]], dtype=np.int8)
     hits = np.array([[True, False], [True, False]])
     assert fault_slot_count(1, fault, mode) == 2
-    planes = _decode_batch(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
+    planes = _decode_dense(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
     u_hat, erased = _decided(planes, 2, frozen_mask)
     assert u_hat.tolist() == [[ERASED_BIT, ERASED_BIT], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, True], [True, False]]
     # the genie feeds the true first bit and the g node resolves
     true_u = np.array([[1, 0], [0, 0]], dtype=np.int8)
-    planes = _decode_batch(y == 0, frozen_mask, fault, mode, True, encode(true_u), hits)
+    planes = _decode_dense(y == 0, frozen_mask, fault, mode, True, encode(true_u), hits)
     u_hat, erased = _decided(planes, 2, frozen_mask, true_u)
     assert u_hat.tolist() == [[ERASED_BIT, 0], [ERASED_BIT, 0]]
     assert erased.tolist() == [[True, False], [True, False]]
@@ -465,10 +473,10 @@ def test_decode_batch_rows_independent_of_batching(mode, genie):
     frozen_mask = rng.random(1 << n) < 0.5
     u, y = _random_batch(rng, n, batch, frozen_mask, 0.4)
     hits = rng.random((batch, fault_slot_count(n, fault, mode))) < fault.delta
-    together = _decided(_decode_batch(y == 0, frozen_mask, fault, mode, genie, encode(u), hits),
+    together = _decided(_decode_dense(y == 0, frozen_mask, fault, mode, genie, encode(u), hits),
                         batch, frozen_mask, u)
     for row in range(batch):
-        alone = _decided(_decode_batch(y[row:row + 1] == 0, frozen_mask, fault, mode, genie,
+        alone = _decided(_decode_dense(y[row:row + 1] == 0, frozen_mask, fault, mode, genie,
                                        encode(u[row:row + 1]), hits[row:row + 1]),
                          1, frozen_mask, u[row:row + 1])
         assert np.array_equal(alone[0][0], together[0][row])
@@ -503,8 +511,8 @@ def test_reading_the_information_decisions_alone_is_exact(n, mode):
         slots = fault_slot_count(n, fault, mode)
         hits = rng.random((batch, slots)) < delta if slots else None
         args = (y == 0, ~info, fault, mode, False, encode(u), hits)
-        full = _decode_batch(*args)
-        skipped = _decode_batch(*args, read=info)
+        full = _decode_dense(*args)
+        skipped = _decode_dense(*args, read=info)
         case = (delta, steps, k)
         counted = [_packed_counts(planes[0], info, batch) for planes in (full, skipped)]
         assert np.array_equal(counted[0][0], counted[1][0]), case

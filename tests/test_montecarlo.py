@@ -20,10 +20,11 @@ from faultypolar import (
     binomial_ci95,
     compare_to_proxy,
     construct_code,
+    encode,
     run_simulation,
 )
 from faultypolar import cli, montecarlo
-from faultypolar.codec import fault_slot_count
+from faultypolar.codec import _pack_frames, fault_slot_count
 from faultypolar.montecarlo import (
     ROLE_CHANNEL,
     ROLE_FAULTS,
@@ -275,7 +276,8 @@ def test_certain_erasures_erase_every_bit(p, delta, mode, genie):
 
 def test_fault_row_longer_than_draw_block(monkeypatch):
     # n = 7 in independent-tree mode: 128 * 127 fault slots per trial, more
-    # than one draw block; the hit rows must match fresh one-call draws
+    # than one draw block; the packed hit plane must match fresh one-call
+    # draws
     config = _config(n=7, k=32, p=0.4, delta=0.05, trials=3, seed=2**64 - 1,
                      mode="independent_tree", genie=True)
     slots = fault_slot_count(7, config.fault, config.fault.correlation_mode)
@@ -290,7 +292,53 @@ def test_fault_row_longer_than_draw_block(monkeypatch):
     monkeypatch.setattr(montecarlo, "_decode_batch", capture)
     run_simulation(config)
     expected = [substream(2**64 - 1, t, ROLE_FAULTS).random(slots) < 0.05 for t in range(3)]
-    assert np.array_equal(seen[0], np.array(expected))
+    assert np.array_equal(seen[0], _pack_frames(np.array(expected)))
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("batch", [1, 7, 8, 9, 13])
+@pytest.mark.parametrize("mode, n, delta, genie", [
+    ("shared", 3, 0.05, False), ("independent_tree", 2, 0.05, False),
+    ("independent_tree", 7, 0.05, True), ("shared", 2, 1.0, False),
+])
+def test_planes_handed_to_the_decoder_pack_the_dense_draws(monkeypatch, block, batch,
+                                                           mode, n, delta, genie):
+    # the hit plane is _pack_frames of each trial's one-call fault draws and
+    # the codeword plane that of encode(u), whatever the draw block; slot
+    # counts cover 12 (not a multiple of 8), 24 and 128 * 127 (more than one
+    # draw block); the chunk starts at a trial that is not a multiple of 8
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
+    seed, start = 2**64 - 1, 5
+    config = _config(n=n, k=2**n // 2, p=0.4, delta=delta, trials=start + batch,
+                     seed=seed, mode=mode, genie=genie)
+    slots = fault_slot_count(n, config.fault, mode)
+    seen = []
+    decode = montecarlo._decode_batch
+
+    def capture(*args, **kwargs):
+        seen.append(args[5:7])
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_decode_batch", capture)
+    _run_chunk(config, start, start + batch, slots)
+    trials = range(start, start + batch)
+    codeword, hits = seen[0]
+    dense = np.array([substream(seed, t, ROLE_FAULTS).random(slots) < delta for t in trials])
+    assert hits.shape == (slots, -(-batch // 8))
+    assert np.array_equal(hits, _pack_frames(dense))
+    planes = [hits]
+    if genie:
+        assert codeword is None
+    else:
+        info0 = config.code.info_indices - 1
+        u = np.zeros((batch, 2**n), dtype=np.int8)
+        u[:, info0] = [substream(seed, t, ROLE_SOURCE).integers(0, 2, info0.size, dtype=np.int8)
+                       for t in trials]
+        assert np.array_equal(codeword, _pack_frames(encode(u)))
+        planes.append(codeword)
+    for plane in planes:  # pad bits of the last byte are 0
+        assert not (plane[:, -1] >> (batch - 8 * (plane.shape[1] - 1))).any()
 
 
 def test_outcome_independent_of_draw_block(monkeypatch):
@@ -337,14 +385,15 @@ def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
 
 
 def test_trial_bytes_admit_the_documented_sizes():
-    # a lone trial: its hit row and int8/bool (B, N) planes, a packed group
-    # of eight frames at one byte per fault slot and per plane position, and
-    # the chunk's index array and position masks at 13 bytes per position
+    # a lone trial: its bool channel-erasure row, a packed group of eight
+    # frames at one byte per fault slot and per plane position, and the
+    # chunk's index array, position masks and source lanes at 21 bytes per
+    # position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots) == 2 * slots + (3 + 2 + 24 + 13) * 256 + 128
-    assert _trial_bytes(10, 10 * 1024) == 2 * 10 * 1024 + (3 + 2 + 30 + 13) * 1024 + 512
+    assert _trial_bytes(8, slots) == slots + (1 + 2 + 24 + 21) * 256 + 128
+    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 2 + 30 + 21) * 1024 + 512
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
@@ -357,10 +406,10 @@ def test_trial_bytes_admit_the_documented_sizes():
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes each: 514 MiB in all
+    # allocates its packed planes at N bytes each: 450 MiB in all
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots) == 514 * 2**20 > TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 450 * 2**20 > TRIAL_BYTES_CEILING
 
 
 @pytest.mark.parametrize("n, mode, genie, batch", [
@@ -386,8 +435,9 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
 
 
 def test_genie_trial_bytes_admit_the_same_sizes():
-    # genie runs count fewer planes, but the admitted sizes do not move
-    for mode, largest in (("independent_tree", 13), ("shared", 21)):
+    # genie runs count fewer planes; independent-tree is admitted to the
+    # same n, and shared one level further (n = 22 counts 236 MiB)
+    for mode, largest in (("independent_tree", 13), ("shared", 22)):
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
             slots = fault_slot_count(n, fault, mode)
@@ -438,6 +488,32 @@ def test_trial_bytes_bound_a_chunk_without_fault_slots(n, mode, genie, batch, k)
         tracemalloc.stop()
     count = _trial_bytes(n, 0, batch, genie)
     assert 0.9 * count <= peak <= count + fixed_scratch
+
+
+@pytest.mark.parametrize("n, mode, genie, batch", [
+    (10, "shared", False, 819), (6, "independent_tree", True, 2080),
+    (8, "independent_tree", False, 800),
+])
+def test_trial_bytes_bound_a_chunk_with_fault_slots(n, mode, genie, batch):
+    # fault hits are packed as they are drawn, so the count of one byte per
+    # slot per group of eight frames meets the peak as closely as without
+    # fault slots; a (B, slots) table of one byte per hit would put the
+    # peak a whole table above the fault-free count, four times the margin
+    # allowed here
+    fixed_scratch = 4 * 2**16
+    config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=batch, mode=mode,
+                     genie=genie)
+    slots = fault_slot_count(n, config.fault, mode)
+    _run_chunk(config, 0, batch, slots)
+    tracemalloc.start()
+    try:
+        _run_chunk(config, 0, batch, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = _trial_bytes(n, slots, batch, genie)
+    assert 0.9 * count <= peak <= count + fixed_scratch
+    assert peak < _trial_bytes(n, 0, batch, genie) + batch * slots / 4
 
 
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])

@@ -12,11 +12,11 @@ the root: with n_u unprotected transitions, the messages produced at tree
 levels 1..min(n_u, n) (leaf side) receive faults and the levels above do
 not, matching the construction module's evolution.
 
-The public node functions work on the {-1, 0, +1} values. The batched
-decoder behind sc_decode and the simulations computes the same updates
-bitsliced: each message is an erased bit and a sign bit, packed eight
-frames to a byte in positions-major (N, ceil(B/8)) planes, so a node update
-is a few bitwise operations on contiguous rows (see _decode_batch). It
+The batched decoder behind sc_decode and the simulations computes the
+node updates on these values bitsliced: each message is an erased bit and
+a sign bit, packed eight frames to a byte in positions-major planes, so a
+node update is a few bitwise operations on contiguous rows. Each tree
+level holds only the block the current bit is in (see _decode_batch). It
 reads the channel as an erasure mask plus the codeword bits. Under genie
 feedback every known message is correct, so a genie decode carries the
 erased bits alone. encode runs its butterfly on the same packed planes.
@@ -32,19 +32,12 @@ read them all), and sc_decode reads every decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .construction import CodeConstruction
 from .core import SHARED, FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError
-
-
-class TernaryLLR(IntEnum):
-    NEG_INFINITE = -1
-    ERASED = 0
-    POS_INFINITE = 1
 
 
 ERASED_BIT = -1  # marker for an erased hard decision in u_hat vectors
@@ -102,29 +95,6 @@ def transmit_bec(x, p: float, rng: np.random.Generator) -> np.ndarray:
     _require_unit_interval(p, "p")
     hit = rng.random(bits.shape) < p
     return np.where(hit, np.int8(0), (1 - 2 * bits).astype(np.int8))
-
-
-def check_node(m1, m2):
-    """Check-node update: erased if either input is erased, else sign product."""
-    out = np.asarray(m1, dtype=np.int8) * np.asarray(m2, dtype=np.int8)
-    if out.ndim == 0:
-        return TernaryLLR(int(out))
-    return out
-
-
-def variable_node(m1, m2, partial_sum):
-    """Variable-node update m1 + (-1)**partial_sum * m2 in saturated ternary arithmetic.
-
-    Opposing infinities cancel to an erasure; an infinity absorbs an erased
-    partner; two erasures stay erased.
-    """
-    a = np.asarray(m1, dtype=np.int8)
-    b = np.asarray(m2, dtype=np.int8)
-    s = np.asarray(partial_sum, dtype=np.int8)
-    out = np.sign(a + (1 - 2 * s) * b)
-    if out.ndim == 0:
-        return TernaryLLR(int(out))
-    return out
 
 
 @dataclass(frozen=True)
@@ -262,11 +232,15 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     same per-frame hits produce identical results no matter how frames
     are grouped into batches.
 
-    Levels 0 (the decisions) to n - 1 hold N message rows each, level n
-    is the channel. Bit i, in order, recomputes from a top level down its
-    level-L block, rows (i >> L) << L on, from its parent block. mode
-    picks the top alone: the lowest set bit of i in shared mode (n - 1 at
-    i = 0), the levels whose inputs changed; n - 1 in independent_tree.
+    Level n is the channel, level 0 the decisions. Bit i, in order,
+    recomputes from a top level down its level-L block, rows (i >> L) << L
+    on, from its parent block. mode picks the top alone: the lowest set
+    bit of i in shared mode (n - 1 at i = 0), the levels whose inputs
+    changed; n - 1 in independent_tree. So a level L in 1..n - 1 holds
+    only the block of 2**L rows bit i is in (the space-efficient layout of
+    Tal and Vardy, 2015): in shared mode the level-(L + 1) block that bit
+    i reads was computed at its first bit, and no level-(L + 1) node has
+    run since. The decisions keep all N rows.
 
     read, an N-long bool mask, names the decisions the caller reads; the
     default is all of them. A node is evaluated only when a read decision
@@ -274,25 +248,31 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     depends on it; frozen decisions feed 0 forward whatever they are. In
     shared mode a level-L block feeds the decisions of its own rows, so it
     is skipped when they hold no read and no information bit (a rate-0
-    subtree of simplified SC). In independent_tree mode each bit's path
-    feeds its own decision alone, so an unread frozen bit skips every
-    level. A skipped node still takes its hits from the stream, so the
-    schedule, and every decision that is evaluated, is that of the full
-    decode. Partial sums of all-frozen blocks are always 0 and are never
-    written.
+    subtree of simplified SC), and so are its descendants. In
+    independent_tree mode each bit's path feeds its own decision alone,
+    so an unread frozen bit skips every level. A skipped node still takes
+    its hits from the stream, so the schedule, and every decision that is
+    evaluated, is that of the full decode.
 
-    The kernel works on packed bit planes of shape (N, ceil(B/8)) uint8,
-    positions-major: bit k of byte j in row i belongs to frame 8j + k, so
-    every tree block is a contiguous run of rows and one bitwise op updates
-    eight frames per byte. Without the genie a message is two planes: E
-    (erased) and S (sign, 1 for -infinity). The sign of an erased message
-    is don't-care; a decision reads S & ~E. With u the partial-sum plane:
+    The kernel works on packed bit planes of shape (rows, ceil(B/8))
+    uint8, positions-major: bit k of byte j in row i belongs to frame
+    8j + k, so every tree block is a contiguous run of rows and one
+    bitwise op updates eight frames per byte. Without the genie a message
+    is two planes: E (erased) and S (sign, 1 for -infinity). The sign of
+    an erased message is don't-care; a decision reads S & ~E. With u the
+    partial sums of the left sibling block:
 
         f node:  E = El | Er                 S = Sl ^ Sr
         g node:  t = Sl ^ u ^ Sr             S = Sr ^ (Er & t)
                  E = ~(El ^ Er) & (El | t)   (both erased, or both known
                                               with opposing signs)
         fault:   E |= hits
+
+    Level L keeps the 2**L partial sums a level-L g node reads: the
+    polar transform of the fed-back decisions of the last left block of
+    width 2**L. When bit i ends the blocks of levels 0..t, the level-t one
+    is such a left block; its transform is built in place from bit i up,
+    [u_left ^ x, x] at each level, and an all-frozen tail of it is zeroed.
 
     The genie feeds the true bits forward, with frozen bits as 0, so every
     message that is not erased is correct: two known inputs of a g node
@@ -317,39 +297,36 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     channel = (_pack_frames(erased),) + ((codeword,) if signs else ())
     nbytes = channel[0].shape[1]
 
+    def planes(rows):
+        return np.empty((rows, nbytes), dtype=np.uint8)
+
     info = ~frozen_mask
     needed = np.ones(size, dtype=bool) if read is None else read | info
     if signs:
-        # bits[L] holds, over completed aligned blocks of width 2**L, the
-        # polar-transformed decisions of that block's leaves (the partial
-        # sums).
-        bits = [np.zeros((size, nbytes), dtype=np.uint8) for _ in range(max(n, 1))]
-        scratch = np.empty((size // 2, nbytes), dtype=np.uint8)
+        sums = [planes(1 << level) for level in range(n)]
+        scratch = planes(size // 2)
         has_info = _block_any(info, n)
     live = _block_any(needed, n)
-    msgs = [tuple(np.empty((size, nbytes), dtype=np.uint8) for _ in channel)
-            for _ in range(n)] + [channel]
+    msgs = [tuple(planes(1 << level if level else size) for _ in channel)
+            for level in range(n)] + [channel]
     decision = msgs[0]
     recompute_all = mode != SHARED
 
     def node(level, i0):
         width = 1 << level
-        base2 = (i0 >> (level + 1)) << (level + 1)
-        dst = (i0 >> level) << level
-        g_node = i0 & width
         parent, out = msgs[level + 1], msgs[level]
-        el = parent[0][base2:base2 + width]
-        er = parent[0][base2 + width:base2 + 2 * width]
+        dst = 0 if level else i0
+        g_node = i0 & width
+        el, er = parent[0][:width], parent[0][width:2 * width]
         out_e = out[0][dst:dst + width]
         if not signs:
             (np.bitwise_and if g_node else np.bitwise_or)(el, er, out=out_e)
         else:
-            sl = parent[1][base2:base2 + width]
-            sr = parent[1][base2 + width:base2 + 2 * width]
+            sl, sr = parent[1][:width], parent[1][width:2 * width]
             out_s = out[1][dst:dst + width]
             if g_node:
                 t = scratch[:width]
-                np.bitwise_xor(sl, bits[level][base2:base2 + width], out=t)
+                np.bitwise_xor(sl, sums[level], out=t)
                 np.bitwise_xor(t, sr, out=t)
                 np.bitwise_and(er, t, out=out_s)
                 np.bitwise_xor(out_s, sr, out=out_s)
@@ -372,23 +349,25 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             elif stream is not None and level >= faulty_min_level:
                 stream.take(1 << level)  # the skipped node's hits
 
-        if not signs:
+        end = (i0 + 1) & -(i0 + 1)  # 2**t: bit i0 ends the blocks of levels 0..t
+        if not signs or end == size:
             continue
-        if info[i0]:
+        t = end.bit_length() - 1
+        acc = sums[t]  # the level-t block is a left one: build its sums
+        low = 0  # the lowest level whose block ending at i0 holds information
+        while low <= t and not has_info[low][i0 >> low]:
+            low += 1
+        if low:  # the blocks below it are all frozen, and their sums are 0
+            acc[end - (1 << (low - 1)):] = 0
+            low -= 1
+        else:
             # continuation convention: an erased decision feeds 0 forward
-            row = bits[0][i0]
+            row = acc[end - 1]
             np.bitwise_and(decision[1][i0], decision[0][i0], out=row)
             np.bitwise_xor(row, decision[1][i0], out=row)
-        level = 1
-        while level < n and (i0 + 1) & ((1 << level) - 1) == 0:
-            base = (i0 + 1) - (1 << level)
-            if has_info[level][base >> level]:
-                half = 1 << (level - 1)
-                left = bits[level - 1][base:base + half]
-                right = bits[level - 1][base + half:base + 2 * half]
-                np.bitwise_xor(left, right, out=bits[level][base:base + half])
-                bits[level][base + half:base + 2 * half] = right
-            level += 1
+        for level in range(low, t):  # acc[x:] holds the level's block sums
+            x = end - (1 << level)
+            np.bitwise_xor(sums[level], acc[x:], out=acc[x - (1 << level):x])
 
     if stream is not None and stream.pos != stream.hits.shape[0]:
         raise InternalInvariantError("fault hit stream not fully consumed")

@@ -22,7 +22,8 @@ fault hits (uniform < delta) are packed as they are drawn, eight trials
 to a byte, so no per-trial row of them is kept. The decoder takes the
 channel-erasure mask and, without the genie, the packed codeword; no
 {-1, 0, +1} channel array is built. It returns packed decision planes,
-and the counts are popcounts of their rows.
+and the counts are popcounts of their rows. Chunks are sized from what
+they allocate (_trial_bytes), and pay their per-chunk term once.
 """
 
 from __future__ import annotations
@@ -116,28 +117,35 @@ def _source_bits(bitgen: np.random.BitGenerator, k: int) -> np.ndarray:
 def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int:
     """Bytes a chunk of `batch` trials allocates; by default one trial alone.
 
-    Per frame: its row of the (B, N) bool channel-erasure mask. Per group
-    of eight frames, one byte per fault slot for the packed hits and one
-    byte per position for each packed plane. Both modes keep log2 N message
-    levels, the decisions being the lowest, and the decoder returns that
-    level, on which the counts are taken. Without the genie: two message
-    planes (E and S) and one partial-sum plane per level, the channel's E
-    and S (the codeword plane) and a half-height g-node scratch. In genie
-    mode, E planes only: one per level and the channel's. A group is paid
-    in full even when fewer than eight frames share it. Per chunk, 13 bytes
-    per position: the int64 information indices and five bool masks over
-    the positions (the information set, in the chunk and in the decoder,
-    the decoded set and the block pyramids of both); without the genie, 8
-    more for the eight lanes of source bits. Fixed scratch (the eight lanes
-    of fault hits, a block of raw words and the packing buffers, 64 KiB
-    each) is not counted.
+    Per frame, its row of the (B, N) bool channel-erasure mask. Per group
+    of eight frames (paid in full even when fewer share it), a byte per
+    fault slot for the packed hits and per row of each packed plane: the
+    N decisions, the 2**L-row block of each level L in 1..n - 1 and the
+    channel; without the genie each of those twice (E and S, the codeword
+    being the channel's S), N - 1 rows of partial sums and a half-height
+    g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
+    chunk (batch = 0 gives it alone), 12 bytes per position: the int64
+    information indices and four bool masks (the information set in the
+    chunk and in the decoder, the decoded set and its block pyramid);
+    without the genie, 9 more for the information set's pyramid and the
+    eight lanes of source bits. Fixed scratch (the eight lanes of fault
+    hits, a block of raw words and the packing buffers, 64 KiB each) is
+    not counted.
     """
     size = 1 << n
     if genie:
-        packed, chunk = (1 + n) * size, 13 * size
+        packed, chunk = 3 * size, 12 * size
     else:
-        packed, chunk = (2 + max(n, 1) + 2 * n) * size + size // 2, 21 * size
+        packed, chunk = 7 * size + size // 2, 21 * size
     return batch * size + -(-batch // 8) * (slots + packed) + chunk
+
+
+def _chunk_trials(n: int, slots: int, genie: bool) -> int:
+    """Default trials per chunk: the groups of eight that fit in
+    _CHUNK_BYTES once the per-chunk term is paid."""
+    fixed = _trial_bytes(n, slots, batch=0, genie=genie)
+    group = _trial_bytes(n, slots, batch=8, genie=genie) - fixed
+    return min(_MAX_CHUNK, max(1, 8 * ((_CHUNK_BYTES - fixed) // group)))
 
 
 @dataclass(frozen=True)
@@ -333,9 +341,7 @@ def run_simulation(config: SimConfig, threads: int = 1,
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        group = _trial_bytes(code.n, slots, batch=8, genie=config.genie)
-        groups = _CHUNK_BYTES // group
-        chunk_size = min(_MAX_CHUNK, max(1, 8 * groups))
+        chunk_size = _chunk_trials(code.n, slots, config.genie)
     chunk_size = max(1, min(chunk_size, config.trials))
     bounds = [(s, min(s + chunk_size, config.trials))
               for s in range(0, config.trials, chunk_size)]

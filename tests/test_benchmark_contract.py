@@ -54,3 +54,22 @@ def test_seed0_outputs_match_the_benchmark_goldens(workload, perfbench, tmp_path
         assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0, command.argv
         _, problems = verify.check_command(command, tmp_path, golden)
         assert problems == [], command.argv
+
+
+@pytest.mark.parametrize("workload", ["sim-shared", "sim-tree-genie"])
+def test_benchmark_simulations_run_as_one_chunk(workload, perfbench, monkeypatch, tmp_path):
+    # each simulation workload times one chunk of default size
+    from faultypolar import montecarlo
+    from faultypolar.cli import main
+
+    chunks = []
+    run_chunk = montecarlo._run_chunk
+
+    def recording(config, start, stop, slots):
+        chunks.append((start, stop))
+        return run_chunk(config, start, stop, slots)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+    (command,) = perfbench[0].build(workload, 0).commands
+    assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0
+    assert chunks == [(0, command.params["trials"])]

@@ -1,6 +1,7 @@
-"""Encoder, channel, node operations, and the faulty SC decoder."""
+"""Encoder, channel, the reference node operations, and the faulty SC decoder."""
 
 import itertools
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -8,17 +9,44 @@ import pytest
 from faultypolar import (
     ERASED_BIT,
     FaultSpec,
-    TernaryLLR,
-    check_node,
     construct_code,
     encode,
     sc_decode,
     transmit_bec,
-    variable_node,
 )
 from faultypolar.codec import _decode_batch, _pack_frames, _unpack_frames, fault_slot_count
 
+
+class TernaryLLR(IntEnum):
+    NEG_INFINITE = -1
+    ERASED = 0
+    POS_INFINITE = 1
+
+
 NEG, ERA, POS = TernaryLLR.NEG_INFINITE, TernaryLLR.ERASED, TernaryLLR.POS_INFINITE
+
+
+def check_node(m1, m2):
+    """Check-node update: erased if either input is erased, else sign product."""
+    out = np.asarray(m1, dtype=np.int8) * np.asarray(m2, dtype=np.int8)
+    if out.ndim == 0:
+        return TernaryLLR(int(out))
+    return out
+
+
+def variable_node(m1, m2, partial_sum):
+    """Variable-node update m1 + (-1)**partial_sum * m2 in saturated ternary arithmetic.
+
+    Opposing infinities cancel to an erasure; an infinity absorbs an erased
+    partner; two erasures stay erased.
+    """
+    a = np.asarray(m1, dtype=np.int8)
+    b = np.asarray(m2, dtype=np.int8)
+    s = np.asarray(partial_sum, dtype=np.int8)
+    out = np.sign(a + (1 - 2 * s) * b)
+    if out.ndim == 0:
+        return TernaryLLR(int(out))
+    return out
 
 
 def kron_transform(n):
@@ -492,14 +520,35 @@ def _packed_counts(erased_plane, info, batch):
     return rows, int(np.bitwise_count(frames).sum()), int(np.bitwise_count(rows).sum())
 
 
+def _hit_rows(rng, batch, slots, delta):
+    """(batch, slots) bool fault hits, drawn a row at a time to bound the floats."""
+    if not slots:
+        return None
+    return np.stack([rng.random(slots) < delta for _ in range(batch)])
+
+
+def _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, case):
+    """Skipping the nodes that feed only unread frozen decisions changes no
+    information decision, frame count or bit count."""
+    u, y = _random_batch(rng, n, batch, ~info, 0.3)
+    hits = _hit_rows(rng, batch, fault_slot_count(n, fault, mode), fault.delta)
+    args = (y == 0, ~info, fault, mode, False, encode(u), hits)
+    full = _decode_dense(*args)
+    skipped = _decode_dense(*args, read=info)
+    counted = [_packed_counts(planes[0], info, batch) for planes in (full, skipped)]
+    assert np.array_equal(counted[0][0], counted[1][0]), case
+    assert counted[0][1:] == counted[1][1:], case
+    signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
+    assert np.array_equal(*signs), case
+    erased = _unpack_frames(full[0], batch).view(bool)[:, info]
+    assert counted[0][1:] == (erased.any(axis=1).sum(), erased.sum()), case
+
+
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])
 @pytest.mark.parametrize("n", range(0, 9))
 def test_reading_the_information_decisions_alone_is_exact(n, mode):
-    # skipping the nodes that feed only unread frozen decisions changes no
-    # information decision, frame count or bit count
     rng = np.random.default_rng(300 + n)
     size = 1 << n
-    batch = 13
     for delta, steps, k in itertools.product((0.0, 0.05, 1.0), (None, 0, 1, n),
                                              sorted({1, size // 2, size - 1})):
         fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
@@ -507,17 +556,59 @@ def test_reading_the_information_decisions_alone_is_exact(n, mode):
             info = ~construct_code(n, 0.4, fault, k).frozen_mask
         else:  # n = 0: a code needs 1 <= k < N, so set the lone bit directly
             info = np.full(size, k > 0)
-        u, y = _random_batch(rng, n, batch, ~info, 0.3)
-        slots = fault_slot_count(n, fault, mode)
-        hits = rng.random((batch, slots)) < delta if slots else None
-        args = (y == 0, ~info, fault, mode, False, encode(u), hits)
-        full = _decode_dense(*args)
-        skipped = _decode_dense(*args, read=info)
-        case = (delta, steps, k)
-        counted = [_packed_counts(planes[0], info, batch) for planes in (full, skipped)]
-        assert np.array_equal(counted[0][0], counted[1][0]), case
-        assert counted[0][1:] == counted[1][1:], case
-        signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
-        assert np.array_equal(*signs), case
-        erased = _unpack_frames(full[0], batch).view(bool)[:, info]
-        assert counted[0][1:] == (erased.any(axis=1).sum(), erased.sum()), case
+        _assert_reading_info_is_exact(rng, n, mode, info, fault, 13, (delta, steps, k))
+
+
+def _stale_sum_mask(rng, n):
+    """A frozen mask in which rate-0 blocks follow blocks with information bits.
+
+    Its second half is an all-frozen quarter and a random quarter that ends
+    in an information bit; its first half is built the same way, down to 4
+    random positions. So at each level L from 3 to n - 2 an all-frozen left
+    block of 2**L positions follows a left block with information bits, and
+    its right sibling holds some: that g node must read the zero partial
+    sums of the frozen block, not those the earlier block left behind.
+    """
+    if n <= 2:
+        return rng.random(1 << n) < 0.5
+    quarter = 1 << (n - 2)
+    right = rng.random(quarter) < 0.5
+    right[-1] = False
+    return np.concatenate([_stale_sum_mask(rng, n - 1), np.ones(quarter, bool), right])
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_compact_levels_match_reference_after_rate0_blocks(n):
+    # each level keeps one block and one left block's partial sums, so the
+    # buffers are reused; the reference keeps every message
+    rng = np.random.default_rng(400 + n)
+    batches = itertools.cycle((1, 7, 8, 9, 13))
+    frozen_mask = _stale_sum_mask(rng, n)
+    # delta in {0, 0.05, 1} by nu in {None, 0, 1, n} without repeated decoder
+    # runs: nu = n is nu = None, and delta = 0 or nu = 0 draws no hits
+    runs = [(0.0, None), (0.05, 0), *itertools.product((0.05, 1.0), (None, 1))]
+    for genie, (delta, steps) in itertools.product((False, True), runs):
+        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        batch = next(batches)
+        u, y = _random_batch(rng, n, batch, frozen_mask, 0.3)
+        hits = _hit_rows(rng, batch, fault_slot_count(n, fault, "shared"), delta)
+        planes = _decode_dense(y == 0, frozen_mask, fault, "shared", genie, encode(u), hits)
+        u_hat, erased = _decided(planes, batch, frozen_mask, u)
+        for row in range(batch):
+            ref = _reference_decode(y[row], frozen_mask, fault, "shared", genie, u[row],
+                                    None if hits is None else hits[row])
+            case = (genie, delta, steps, batch, row)
+            assert np.array_equal(u_hat[row], ref[0]), case
+            assert np.array_equal(erased[row], ref[1]), case
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+@pytest.mark.parametrize("n", range(0, 11))
+def test_reading_the_information_decisions_after_rate0_blocks_is_exact(n, mode):
+    rng = np.random.default_rng(500 + n)
+    batches = itertools.cycle((1, 7, 8, 9, 13))
+    info = ~_stale_sum_mask(rng, n)
+    for delta, steps in itertools.product((0.0, 0.05, 1.0), (None, 0, 1, n)):
+        fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
+        batch = next(batches)
+        _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, (delta, steps, batch))

@@ -31,6 +31,7 @@ from faultypolar.montecarlo import (
     ROLE_SOURCE,
     TRIAL_BYTES_CEILING,
     TRIALS_HARD_CAP,
+    _chunk_trials,
     _draw_mask,
     _run_chunk,
     _source_bits,
@@ -386,30 +387,35 @@ def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
 
 def test_trial_bytes_admit_the_documented_sizes():
     # a lone trial: its bool channel-erasure row, a packed group of eight
-    # frames at one byte per fault slot and per plane position, and the
-    # chunk's index array, position masks and source lanes at 21 bytes per
-    # position
+    # frames at one byte per fault slot and 7.5 bytes per position for the
+    # packed planes, and the chunk's index array, position masks and source
+    # lanes at 21 bytes per position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots) == slots + (1 + 2 + 24 + 21) * 256 + 128
-    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 2 + 30 + 21) * 1024 + 512
+    assert _trial_bytes(8, slots) == slots + (1 + 7 + 21) * 256 + 128
+    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 21) * 1024 + 512
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
-    for n in range(1, 22):
+    for n in range(1, 23):
         slots = fault_slot_count(n, shared, "shared")
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
     slots = fault_slot_count(14, tree, "independent_tree")
     assert _trial_bytes(14, slots) > TRIAL_BYTES_CEILING
+    slots = fault_slot_count(23, shared, "shared")
+    assert _trial_bytes(23, slots) > TRIAL_BYTES_CEILING
 
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes each: 450 MiB in all
+    # allocates its packed planes at N bytes a row: 206 MiB in all, of
+    # which 30 MiB are the planes
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots) == 450 * 2**20 > TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 206 * 2**20 <= TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) - _trial_bytes(22, slots, batch=0) == (
+        4 + 88 + 30) * 2**20
 
 
 @pytest.mark.parametrize("n, mode, genie, batch", [
@@ -434,15 +440,49 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
     assert peak <= _trial_bytes(n, slots, batch) + fixed_scratch
 
 
+def _chunk_trials_before(n, slots, genie):
+    """Default chunk of the full-height decoder layout: n message levels of
+    N rows and, without the genie, n partial-sum levels, with the per-chunk
+    term charged to every group of eight."""
+    size = 1 << n
+    if genie:
+        packed, chunk = (1 + n) * size, 13 * size
+    else:
+        packed, chunk = (2 + max(n, 1) + 2 * n) * size + size // 2, 21 * size
+    group = 8 * size + slots + packed + chunk
+    return min(montecarlo._MAX_CHUNK, max(1, 8 * (montecarlo._CHUNK_BYTES // group)))
+
+
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("mode, largest", [("shared", 21), ("independent_tree", 13)])
+def test_default_chunks_never_shrink(mode, largest, genie):
+    for delta in (0.0, 1e-3):
+        fault = FaultSpec(delta=delta, correlation_mode=mode)
+        for n in range(1, largest + 1):
+            slots = fault_slot_count(n, fault, mode)
+            before = _chunk_trials_before(n, slots, genie)
+            assert _chunk_trials(n, slots, genie) >= before, (delta, n)
+
+
+def test_default_chunks_pay_the_chunk_term_once():
+    shared = FaultSpec(delta=1e-3, correlation_mode="shared")
+    sizes = {n: _chunk_trials(n, fault_slot_count(n, shared, "shared"), False)
+             for n in (12, 14)}
+    assert sizes == {12: 4760, 14: 1104}  # 1648 and 368 before
+    assert _chunk_trials(14, fault_slot_count(14, shared, "shared"), True) == 1304
+
+
 def test_genie_trial_bytes_admit_the_same_sizes():
-    # genie runs count fewer planes; independent-tree is admitted to the
-    # same n, and shared one level further (n = 22 counts 236 MiB)
+    # genie runs count fewer planes, and they are admitted to the same n:
+    # independent-tree to n = 13, shared to n = 22 (152 MiB)
     for mode, largest in (("independent_tree", 13), ("shared", 22)):
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
             slots = fault_slot_count(n, fault, mode)
             admitted = _trial_bytes(n, slots, genie=True) <= TRIAL_BYTES_CEILING
             assert admitted == (n <= largest), (mode, n)
+    slots = fault_slot_count(22, FaultSpec(delta=1e-3, correlation_mode="shared"), "shared")
+    assert _trial_bytes(22, slots, genie=True) == 152 * 2**20
 
 
 @pytest.mark.parametrize("n, mode, batch, k", [

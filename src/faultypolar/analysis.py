@@ -54,11 +54,12 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """k, realized rate, and proxy value for each requested rate.
 
     Codes at every rate share one reliability vector: the proxy at rate
-    k/N is the prefix sum of the ascending-sorted Z values. evolve_all
-    admits no NaN and no -0.0, so equal values are equal bits and any sort
-    algorithm gives the same array; numpy's default is the fastest. The
-    sum stops at the largest k; cumsum is sequential, so its values are
-    those of the full sum.
+    k/N is the prefix sum of the ascending-sorted Z values. z is sorted and
+    summed in place, so the caller's array is spent. evolve_all admits no
+    NaN and no -0.0, so equal values are equal bits and any sort algorithm
+    gives the same array; numpy's default is the fastest. The sum stops at
+    the largest k; cumsum is sequential, so its values are those of the
+    full sum.
     """
     size = z.size
     ks = np.empty(len(rates), dtype=np.int64)
@@ -67,7 +68,9 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if not 0 < k < size:
             raise ValueError(f"rate {rate} gives k={k}, outside 1..{size - 1}")
         ks[idx] = k
-    prefix = np.cumsum(np.sort(z)[:ks.max(initial=0)])
+    z.sort()
+    prefix = z[:ks.max(initial=0)]
+    np.cumsum(prefix, out=prefix)
     return ks, ks / size, prefix[ks - 1]
 
 
@@ -94,10 +97,13 @@ def staircase(n: int, p: float, fault: FaultSpec,
               max_exponent: int = DEFAULT_MAX_EXPONENT) -> SweepResult:
     """Ascending-sorted reliability values against the index fraction i/N."""
     z = evolve_all(n, p, fault, max_exponent=max_exponent)
+    z.sort()
     size = z.size
+    axis = np.arange(1, size + 1, dtype=np.float64)
+    axis /= size
     return SweepResult(
-        axis=np.arange(1, size + 1, dtype=np.float64) / size,
-        series={"z": np.sort(z)},
+        axis=axis,
+        series={"z": z},
         metadata={"n": n, "p": p, "delta": fault.delta,
                   "unprotected_steps": fault.unprotected_steps},
     )
@@ -115,7 +121,10 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None,
     faulty steps is trunk level s grown fault-free to level n, which is
     evolve_all for that n_p bit for bit. Each distinct s is grown, sorted
     and summed once, so repeated n_p values, and n_p = 0 and 1 (both give
-    s = n), cost one series.
+    s = n), cost one series. Trunk and branches share one 2**n buffer: the
+    trunk runs in its first 2**T cells, T the largest s, and a branch below
+    T saves its trunk level, grows over it and restores it, so the sweep
+    holds at most 1.5 buffers.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
     n_p_values = tuple(n_p_values)
@@ -125,13 +134,18 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None,
               for n_p in n_p_values}
     branches = set(faulty.values())
     trunk_steps = max(branches)
+    buf = _root(n, p, max_exponent)
     points = {}
-    for steps, level in enumerate(_levels(_root(n, p, max_exponent), trunk_steps,
+    for steps, level in enumerate(_levels(buf[:2**trunk_steps], trunk_steps,
                                           delta, trunk_steps)):
         if steps in branches:
-            for z in _levels(level, n - steps, delta, 0):
+            saved = level.copy() if steps < trunk_steps else None
+            for _ in _levels(buf, n - steps, delta, 0):
                 pass
-            points[steps] = _rate_points(z, rates)
+            points[steps] = _rate_points(buf, rates)
+            if saved is not None:
+                level[:] = saved
+            del saved  # before the next branch copies a larger level
     series: dict[str, np.ndarray] = {}
     fractions = {}
     for n_p in n_p_values:
@@ -178,14 +192,16 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
         raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
     enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
     steps = int(enumerated.max(initial=0))
+    buf = _root(steps, p, DEFAULT_ENUMERATION_CAP)
+    root = buf[0]
     series: dict[str, np.ndarray] = {}
     for delta in dict.fromkeys(deltas):
         label = f"{delta:g}"
         if f"delta_r_{label}" in series:
             raise ValueError(f"two different deltas print as {label}")
         losses = np.empty(n_u_arr.size, dtype=np.float64)
-        root = _root(steps, p, DEFAULT_ENUMERATION_CAP)
-        means = [float(np.mean(z)) for z in _levels(root, steps, delta, steps)]
+        buf[0] = root
+        means = [float(np.mean(z)) for z in _levels(buf, steps, delta, steps)]
         for idx, nu in enumerate(n_u_arr.tolist()):
             if nu <= DEFAULT_ENUMERATION_CAP:
                 # rate_loss's clamp of the delta = 0 rounding residue

@@ -25,8 +25,9 @@ from .core import (
 )
 from .errors import ResourceLimitError
 
-# Largest exponent evolve_all accepts by default (N = 2**24 doubles ~ 134 MB
-# at the widest level).
+# Largest exponent evolve_all accepts by default. Density evolution grows
+# every level inside one buffer of N = 2**n doubles, 128 MiB at n = 24;
+# sweep protection holds 1.5 such buffers.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean expected_epsilon and
@@ -85,53 +86,72 @@ def evolve_path(path: IndexPath | tuple[int, ...], p: float, fault: FaultSpec) -
     return float(eps)
 
 
-# A faulty level gets its fault term this many doubles at a time, so the
-# temporary stays in cache (256 KiB).
-_FAULT_BLOCK = 2**15
+# Scratch of a faulty density-evolution step, in doubles (64 KiB): the
+# fault terms of one output block. Input blocks are half that size.
+_SCRATCH = 2**13
 
 
 def _root(n: int, p, max_exponent: int) -> np.ndarray:
-    """Level 0 of an n-step recursion, [p], after the checks of evolve_all."""
+    """A 2**n buffer whose cell 0 is p, after the checks of evolve_all.
+
+    Level 0 of an n-step recursion; _levels grows it in place.
+    """
     if n < 0:
         raise ValueError(f"exponent n must be nonnegative, got {n}")
     if n > max_exponent:
         raise ResourceLimitError(
             f"n={n} exceeds the memory budget (max exponent {max_exponent})"
         )
-    return np.array([_channel_erasure(p)], dtype=np.float64)
+    p = _channel_erasure(p)
+    buf = np.empty(2**n, dtype=np.float64)
+    buf[0] = p
+    return buf
 
 
-def _add_faults(level: np.ndarray, delta: float) -> None:
-    """x + (1 - x)*delta on every element of level, in place."""
-    for start in range(0, level.size, _FAULT_BLOCK):
-        block = level[start:start + _FAULT_BLOCK]
-        lost = np.subtract(1, block)
-        np.multiply(lost, delta, out=lost)
-        np.add(block, lost, out=block)
+def _grow(buf: np.ndarray, size: int, delta: float, faulty: bool) -> None:
+    """Grow the level buf[:size] into the level buf[:2*size], in place.
 
-
-def _levels(z: np.ndarray, steps: int, delta: float, faulty_steps: int):
-    """Yield the level z, then each of the `steps` levels grown from it.
-
-    The density-evolution kernel of this package. Of the steps, the first
-    faulty_steps are faulty. Each level applies the arithmetic of the core
-    transfer maps in place, in the same order, without their per-call
-    checks: callers check p and delta once (every level stays in [0, 1]
-    when they lie there). Every level is a fresh contiguous array twice the
-    size of the one before, so a caller may keep any level it is given;
-    the generator holds nothing else between levels.
+    Input blocks are read from the top down; block [lo, hi) with
+    2*lo >= hi writes children [2*lo, 2*hi), which hold only cells already
+    read. The last block, [0, 1), writes its plus child into cell 1 first
+    and then its minus child over its own cell. A faulty step adds its
+    fault term to each block right after writing it.
     """
-    yield z
-    for j in range(steps):
-        nxt = np.empty(2 * z.size, dtype=np.float64)
-        minus, plus = nxt[0::2], nxt[1::2]
-        np.multiply(z, z, out=plus)
-        np.multiply(z, 2, out=minus)
+    z = buf[:size]
+    scratch = np.empty(min(2 * size, _SCRATCH), dtype=np.float64) if faulty else None
+    hi = size
+    while hi > 0:
+        lo = max(hi - _SCRATCH // 2, (hi + 1) // 2) if hi > 1 else 0
+        out = buf[2 * lo:2 * hi]
+        minus, plus = out[0::2], out[1::2]
+        np.multiply(z[lo:hi], z[lo:hi], out=plus)
+        np.multiply(z[lo:hi], 2, out=minus)
         np.subtract(minus, plus, out=minus)
-        if j < faulty_steps:
-            _add_faults(nxt, delta)
-        z = nxt
-        yield z
+        if faulty:
+            lost = np.subtract(1, out, out=scratch[:out.size])
+            np.multiply(lost, delta, out=lost)
+            np.add(out, lost, out=out)
+        hi = lo
+
+
+def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int):
+    """Yield the start level, then each of the `steps` levels grown from it.
+
+    The density-evolution kernel of this package. The start level is the
+    first buf.size >> steps cells of buf, and each step grows the level in
+    place inside buf, so every yielded level is a prefix view of buf that
+    stays valid only until the next one is requested. Of the steps, the
+    first faulty_steps are faulty. Each cell gets the arithmetic of the
+    core transfer maps, in the same order, without their per-call checks:
+    callers check p and delta once (every level stays in [0, 1] when they
+    lie there). Between levels the generator holds no scratch.
+    """
+    size = buf.size >> steps
+    yield buf[:size]
+    for j in range(steps):
+        _grow(buf, size, delta, j < faulty_steps)
+        size *= 2
+        yield buf[:size]
 
 
 def evolve_all(n: int, p: float, fault: FaultSpec,
@@ -154,10 +174,10 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
     ResourceLimitError
         If n exceeds max_exponent.
     """
-    root = _root(n, p, max_exponent)
-    for z in _levels(root, n, fault.delta, fault.effective_steps(n)):
+    buf = _root(n, p, max_exponent)
+    for _ in _levels(buf, n, fault.delta, fault.effective_steps(n)):
         pass
-    return z
+    return buf
 
 
 def _code_dimension(rate, size: int) -> int:
@@ -214,9 +234,10 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
         raise ResourceLimitError(
             f"enumeration over 2**{steps} paths exceeds the cap 2**{enumeration_cap}"
         )
-    for z in _levels(np.array([p], dtype=np.float64), steps, delta, steps):
+    buf = _root(steps, p, enumeration_cap)
+    for _ in _levels(buf, steps, delta, steps):
         pass
-    return float(np.mean(z))
+    return float(np.mean(buf))
 
 
 def rate_loss(p: float, delta: float, n_u: int, method: str = "auto") -> float:

@@ -63,13 +63,14 @@ def _substream_state(master_seed: int, trial: int, role: int) -> dict:
     """Philox state at the start of the (trial, role) substream.
 
     Assigned to the bit_generator.state of any Philox generator, it yields
-    exactly the stream substream(master_seed, trial, role) starts.
+    exactly the stream substream(master_seed, trial, role) starts. The
+    setter converts the lists to uint64 itself, which is cheaper than
+    building numpy arrays here.
     """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": np.array([0, trial, role, 0], dtype=np.uint64),
-                  "key": np.array([master_seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, trial, role, 0], "key": [master_seed, 0]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -322,7 +323,9 @@ def run_simulation(config: SimConfig, threads: int = 1,
 
     The outcome is identical for any threads or chunk_size setting: trials
     consume only their own substreams and the integer counts reduce in
-    trial order.
+    trial order. Default chunks are sized to about _CHUNK_BYTES (64 MiB)
+    each whatever threads is, and up to `threads` of them run at once, so
+    a threaded run may hold threads times that.
     """
     code = config.code
     if config.trials > TRIALS_HARD_CAP:

@@ -251,6 +251,14 @@ def test_protection_sweep_matches_per_level_count_loop(n, delta):
         n_p: pe_counts(n, n_p).fraction for n_p in n_p_values}
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3])
+@pytest.mark.parametrize("n_p_values", [[5, 0, 9, 1, 5], [3, 11, 7, 3], [8, 2, 6]])
+def test_protection_sweep_matches_the_loop_for_unordered_levels(n_p_values, delta):
+    # branches below the deepest one restore their trunk level in any order
+    result = protection_sweep(10, 0.3, delta, n_p_values)
+    _assert_same_series(result.series, _protection_reference(10, 0.3, delta, n_p_values))
+
+
 @pytest.mark.parametrize("args, kwargs, error", [
     ((25, 0.5, 1e-3, [0]), {}, ResourceLimitError),
     ((6, 0.5, 1e-3, [0]), {"max_exponent": 5}, ResourceLimitError),
@@ -309,6 +317,29 @@ def test_protection_sweep_memory_within_one_level_of_the_loop():
     reference = _traced_peak(_protection_reference, n, 0.5, 1e-6, n_p_values)
     shared = _traced_peak(protection_sweep, n, 0.5, 1e-6, n_p_values)
     assert shared <= reference + 2**n * 8
+
+
+# the 2**n float64 buffer of density evolution, plus its scratch and small
+# objects
+_SLACK = 128 * 1024
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_design_sweeps_peak_at_one_buffer(n):
+    fault = FaultSpec(delta=1e-6)
+    buffer = 8 * 2**n
+    assert _traced_peak(evolve_all, n, 0.5, fault) <= buffer + _SLACK
+    assert _traced_peak(fer_vs_rate_sweep, n, 0.5, fault) <= buffer + _SLACK
+    assert _traced_peak(rate_loss_sweep, 0.5, [1e-3, 1e-4], range(n + 1)) <= buffer + _SLACK
+    # the result holds the sorted values and the axis i/N
+    assert _traced_peak(staircase, n, 0.5, fault) <= 2 * buffer + _SLACK
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_protection_sweep_peaks_at_one_and_a_half_buffers(n):
+    # n_p = 2 saves trunk level n - 1 while its branch grows over it
+    peak = _traced_peak(protection_sweep, n, 0.5, 1e-6, range(n + 2))
+    assert peak <= 12 * 2**n + _SLACK
 
 
 def test_rate_loss_sweep_recursion_stops_at_the_enumeration_cap():

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,23 @@ def test_benchmark_simulations_run_as_one_chunk(workload, perfbench, monkeypatch
     (command,) = perfbench[0].build(workload, 0).commands
     assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0
     assert chunks == [(0, command.params["trials"])]
+
+
+def test_design_commands_peak_at_one_buffer_of_their_largest_n(perfbench, tmp_path):
+    # Density evolution holds one 2**n float64 buffer (1.5 in sweep
+    # protection). The slack covers the CSV text of the n = 14 commands,
+    # about 2.5 MiB; the three buffers of an out-of-place sort and sum at
+    # n = 20 would exceed it.
+    from faultypolar.cli import main
+    from faultypolar.construction import DEFAULT_ENUMERATION_CAP
+
+    for command in perfbench[0].build("design", 0).commands:
+        params = command.params
+        n = params["n"] if "n" in params else min(max(params["nus"]), DEFAULT_ENUMERATION_CAP)
+        tracemalloc.start()
+        try:
+            assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**n + 3 * 2**20, (command.label, peak)

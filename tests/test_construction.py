@@ -19,6 +19,7 @@ from faultypolar import (
     pe_counts,
     rate_loss,
 )
+from faultypolar.construction import _levels
 
 
 def oracle_z(n, p, delta=0.0, n_u=None):
@@ -154,6 +155,45 @@ def test_evolve_all_equals_evolve_path_bitwise_at_the_edges(p, delta, n_u):
     for n in range(0, 9):
         paths = [evolve_path(index_to_path(i, n), p, fault) for i in range(1, 2**n + 1)]
         assert evolve_all(n, p, fault).tobytes() == np.array(paths).tobytes()
+
+
+def _reference_levels(z, steps, delta, faulty_steps):
+    """The levels of _levels, each grown into a fresh array."""
+    yield z
+    for j in range(steps):
+        nxt = np.empty(2 * z.size, dtype=np.float64)
+        minus, plus = nxt[0::2], nxt[1::2]
+        np.multiply(z, z, out=plus)
+        np.multiply(z, 2, out=minus)
+        np.subtract(minus, plus, out=minus)
+        if j < faulty_steps:
+            lost = np.subtract(1, nxt)
+            np.multiply(lost, delta, out=lost)
+            np.add(nxt, lost, out=nxt)
+        z = nxt
+        yield z
+
+
+START_LEVELS = {
+    1: np.array([0.41]),
+    2: np.array([0.0, 0.7]),
+    8: np.array([1.0, 0.5, 1e-300, 0.3, 0.999, 0.0, 0.123456789, 0.75]),
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
+@pytest.mark.parametrize("start", sorted(START_LEVELS))
+def test_levels_in_place_equal_fresh_levels_bitwise(start, delta):
+    # up to 14 steps, so the widest steps span several scratch blocks
+    z0 = START_LEVELS[start]
+    for steps in range(15):
+        for faulty_steps in range(steps + 1):
+            buf = np.full(start << steps, np.nan)  # a cell read before written shows
+            buf[:start] = z0
+            levels = zip(_levels(buf, steps, delta, faulty_steps),
+                         _reference_levels(z0, steps, delta, faulty_steps), strict=True)
+            for j, (level, ref) in enumerate(levels):
+                assert level.tobytes() == ref.tobytes(), (steps, faulty_steps, j)
 
 
 @pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])

@@ -190,7 +190,7 @@ def test_genie_per_bit_counts_present_only_in_genie_mode():
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("trial", [0, 1, TRIALS_HARD_CAP - 1])
+@pytest.mark.parametrize("trial", [0, 1, TRIALS_HARD_CAP - 1, 2**40])
 def test_rewound_generator_matches_fresh_substream(master_seed, trial):
     for role in ROLES:
         gen = substream(12345, 6, ROLE_FAULTS)

@@ -20,7 +20,6 @@ from .codec import (
 )
 from .construction import (
     CodeConstruction,
-    IndexPath,
     construct_code,
     design_code,
     evolve_all,
@@ -59,7 +58,6 @@ __all__ = [
     "ERASED_BIT",
     "FaultSpec",
     "INDEPENDENT_TREE",
-    "IndexPath",
     "InternalInvariantError",
     "ProxyComparison",
     "ResourceLimitError",

@@ -1,4 +1,8 @@
-"""Analytic sweeps over rate, blocklength, and protection grids."""
+"""Analytic sweeps over rate, blocklength, and protection grids.
+
+A sweep over n refuses n above construction.DEFAULT_MAX_EXPONENT with
+ResourceLimitError before it allocates anything, as evolve_all does.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import numpy as np
 
 from .construction import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_MAX_EXPONENT,
     CodeConstruction,
     _code_dimension,
     _levels,
@@ -32,12 +35,12 @@ class SweepResult:
 
     def __post_init__(self):
         axis = np.asarray(self.axis)
-        object.__setattr__(self, "axis", axis)
-        for name, values in self.series.items():
-            arr = np.asarray(values)
+        series = {name: np.asarray(values) for name, values in self.series.items()}
+        for name, arr in series.items():
             if arr.shape != axis.shape:
                 raise ValueError(f"series {name!r} does not match the axis length")
-            self.series[name] = arr
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "series", series)
 
 
 def fer_proxy(code: CodeConstruction) -> float:
@@ -74,11 +77,10 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ks, ks / size, prefix[ks - 1]
 
 
-def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None,
-                      max_exponent: int = DEFAULT_MAX_EXPONENT) -> SweepResult:
+def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None) -> SweepResult:
     """FER proxy across a rate grid for one blocklength and fault spec."""
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
-    z = evolve_all(n, p, fault, max_exponent=max_exponent)
+    z = evolve_all(n, p, fault)
     ks, realized, proxy = _rate_points(z, rates)
     return SweepResult(
         axis=np.asarray(rates, dtype=np.float64),
@@ -93,10 +95,9 @@ def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None,
     )
 
 
-def staircase(n: int, p: float, fault: FaultSpec,
-              max_exponent: int = DEFAULT_MAX_EXPONENT) -> SweepResult:
+def staircase(n: int, p: float, fault: FaultSpec) -> SweepResult:
     """Ascending-sorted reliability values against the index fraction i/N."""
-    z = evolve_all(n, p, fault, max_exponent=max_exponent)
+    z = evolve_all(n, p, fault)
     z.sort()
     size = z.size
     axis = np.arange(1, size + 1, dtype=np.float64)
@@ -109,8 +110,7 @@ def staircase(n: int, p: float, fault: FaultSpec,
     )
 
 
-def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None,
-                     max_exponent: int = DEFAULT_MAX_EXPONENT) -> SweepResult:
+def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> SweepResult:
     """One FER-proxy-vs-rate series per protected level count n_p.
 
     Each n_p maps to n_u = (n + 1) - n_p unprotected transitions, of which
@@ -134,7 +134,7 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None,
               for n_p in n_p_values}
     branches = set(faulty.values())
     trunk_steps = max(branches)
-    buf = _root(n, p, max_exponent)
+    buf = _root(n, p)
     points = {}
     for steps, level in enumerate(_levels(buf[:2**trunk_steps], trunk_steps,
                                           delta, trunk_steps)):
@@ -192,7 +192,7 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
         raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
     enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
     steps = int(enumerated.max(initial=0))
-    buf = _root(steps, p, DEFAULT_ENUMERATION_CAP)
+    buf = _root(steps, p)
     root = buf[0]
     series: dict[str, np.ndarray] = {}
     for delta in dict.fromkeys(deltas):

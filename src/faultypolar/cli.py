@@ -44,6 +44,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
+# Most values an 'a..b' range spec may expand to.
+RANGE_SPEC_CAP = 2**20
+# Rows per format call of _write_csv; one block's text is about 2.4 MiB.
+CSV_BLOCK_ROWS = 2**14
+
 
 def _fmt(value) -> str:
     """CSV cell: 17 significant digits for floats, plain text otherwise."""
@@ -55,13 +60,15 @@ def _fmt(value) -> str:
 
 
 def parse_int_spec(text: str) -> list[int]:
-    """Parse '4', '1,2,3', or an inclusive range 'a..b'."""
+    """Parse '4', '1,2,3', or an inclusive range 'a..b' of at most RANGE_SPEC_CAP values."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
         start, stop = int(lo), int(hi)
         if stop < start:
             raise ValueError(f"empty range {text!r}")
+        if stop - start >= RANGE_SPEC_CAP:
+            raise ValueError(f"range {text!r} has more than {RANGE_SPEC_CAP} values")
         return list(range(start, stop + 1))
     return [int(part) for part in text.split(",") if part != ""]
 
@@ -78,24 +85,28 @@ def positive_int(text: str) -> int:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length columns under `header` with one format call.
+    """Write equal-length columns under `header`, one format call per block.
 
     Each column gives one field of a row template: `%.17g` for floats, the
     17 significant digits of `_fmt`, and `%s` for the rest, the `str` of
-    its Python value (ints as integers, bools as True/False). The cells
-    are interleaved row-major into one list, and the template repeated
-    once per row formats the whole body in a single `%`.
+    its Python value (ints as integers, bools as True/False). Each block
+    of CSV_BLOCK_ROWS rows is interleaved row-major into one list of
+    cells, formatted by the template repeated once per row in a single
+    `%` and written, so the text held at once is one block's.
     """
     columns = [np.asarray(column) for column in columns]
     width = len(columns)
     rows = len(columns[0]) if columns else 0
     template = ",".join("%.17g" if column.dtype.kind == "f" else "%s"
                         for column in columns) + "\n"
-    cells = [None] * (width * rows)
-    for j, column in enumerate(columns):
-        cells[j::width] = column.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + (template * rows) % tuple(cells))
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            count = min(CSV_BLOCK_ROWS, rows - start)
+            cells = [None] * (width * count)
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:start + count].tolist()
+            fh.write((template * count) % tuple(cells))
 
 
 def _write_manifest(path: Path | None, entries: dict) -> None:

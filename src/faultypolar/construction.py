@@ -10,6 +10,7 @@ faulty when j < min(n_u, n).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +26,9 @@ from .core import (
 )
 from .errors import ResourceLimitError
 
-# Largest exponent evolve_all accepts by default. Density evolution grows
-# every level inside one buffer of N = 2**n doubles, 128 MiB at n = 24;
-# sweep protection holds 1.5 such buffers.
+# Largest exponent density evolution accepts. It grows every level inside
+# one buffer of N = 2**n doubles, 128 MiB at n = 24; sweep protection holds
+# 1.5 such buffers.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean expected_epsilon and
@@ -37,33 +38,19 @@ DEFAULT_MAX_EXPONENT = 24
 DEFAULT_ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class IndexPath:
-    """Transform sequence of one synthesized channel.
-
-    bits[j] selects the j-th transform applied to the channel erasure
-    probability, leaf side first: 0 = check node, 1 = variable node.
-    """
-
-    index: int
-    bits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def index_to_path(i: int, n: int) -> IndexPath:
+def index_to_path(i: int, n: int) -> tuple[int, ...]:
     """Return the transform sequence whose evolution yields Z_i.
 
     Channel indices are 1-based; the bits are the n-digit binary expansion
-    of i - 1, most significant digit first.
+    of i - 1, most significant digit first. Bit j selects the j-th
+    transform applied to the channel erasure probability, leaf side first:
+    0 = check node, 1 = variable node.
     """
     if n < 0:
         raise ValueError(f"exponent n must be nonnegative, got {n}")
     if not 1 <= i <= 2**n:
         raise ValueError(f"index must lie in 1..{2**n}, got {i}")
-    bits = tuple((i - 1 >> (n - 1 - j)) & 1 for j in range(n))
-    return IndexPath(index=i, bits=bits)
+    return tuple((i - 1 >> (n - 1 - j)) & 1 for j in range(n))
 
 
 def _channel_erasure(p) -> float:
@@ -72,11 +59,9 @@ def _channel_erasure(p) -> float:
     return float(p) + 0.0
 
 
-def evolve_path(path: IndexPath | tuple[int, ...], p: float, fault: FaultSpec) -> float:
-    """Evolve the channel erasure probability p through one index path."""
-    bits = path.bits if isinstance(path, IndexPath) else tuple(path)
-    n = len(bits)
-    faulty_steps = fault.effective_steps(n)
+def evolve_path(bits: Sequence[int], p: float, fault: FaultSpec) -> float:
+    """Evolve the channel erasure probability p through the bits of index_to_path."""
+    faulty_steps = fault.effective_steps(len(bits))
     eps = _channel_erasure(p)
     for j, b in enumerate(bits):
         if j < faulty_steps:
@@ -91,16 +76,17 @@ def evolve_path(path: IndexPath | tuple[int, ...], p: float, fault: FaultSpec) -
 _SCRATCH = 2**13
 
 
-def _root(n: int, p, max_exponent: int) -> np.ndarray:
+def _root(n: int, p) -> np.ndarray:
     """A 2**n buffer whose cell 0 is p, after the checks of evolve_all.
 
-    Level 0 of an n-step recursion; _levels grows it in place.
+    Level 0 of an n-step recursion; _levels grows it in place. n above
+    DEFAULT_MAX_EXPONENT is refused before anything is allocated.
     """
     if n < 0:
         raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if n > max_exponent:
+    if n > DEFAULT_MAX_EXPONENT:
         raise ResourceLimitError(
-            f"n={n} exceeds the memory budget (max exponent {max_exponent})"
+            f"n={n} exceeds the memory budget (max exponent {DEFAULT_MAX_EXPONENT})"
         )
     p = _channel_erasure(p)
     buf = np.empty(2**n, dtype=np.float64)
@@ -154,8 +140,7 @@ def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int):
         yield buf[:size]
 
 
-def evolve_all(n: int, p: float, fault: FaultSpec,
-               max_exponent: int = DEFAULT_MAX_EXPONENT) -> np.ndarray:
+def evolve_all(n: int, p: float, fault: FaultSpec) -> np.ndarray:
     """Compute all N = 2**n reliability values Z_1..Z_N.
 
     Levelwise recursion: O(N) space and O(N) transfer-function
@@ -172,9 +157,9 @@ def evolve_all(n: int, p: float, fault: FaultSpec,
     ValueError
         If n < 0 or p lies outside [0, 1].
     ResourceLimitError
-        If n exceeds max_exponent.
+        If n exceeds DEFAULT_MAX_EXPONENT (2**24 doubles, 128 MiB).
     """
-    buf = _root(n, p, max_exponent)
+    buf = _root(n, p)
     for _ in _levels(buf, n, fault.delta, fault.effective_steps(n)):
         pass
     return buf
@@ -204,8 +189,7 @@ def design_code(reliabilities, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~frozen).astype(np.int64) + 1, frozen
 
 
-def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
-                     enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto") -> float:
     """Mean erasure probability after `steps` all-faulty transitions.
 
     The uniform average over all 2**steps transform sequences equals the
@@ -214,9 +198,9 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
 
     method "enumerate" averages over all paths, the last level of the
     all-faulty recursion evolve_all runs, and raises ResourceLimitError
-    above enumeration_cap; "closed-form" evaluates the formula; "auto"
-    enumerates when feasible and otherwise falls back to the closed form
-    (the fallback is exact, not an approximation, though the last digits
+    above DEFAULT_ENUMERATION_CAP steps; "closed-form" evaluates the
+    formula; "auto" enumerates up to that cap and otherwise falls back to
+    the closed form (exact, not an approximation, though the last digits
     differ). analysis.rate_loss_sweep reads the same means off one
     recursion per delta.
     """
@@ -227,14 +211,14 @@ def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto",
     if method not in ("auto", "enumerate", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "enumerate" if steps <= enumeration_cap else "closed-form"
+        method = "enumerate" if steps <= DEFAULT_ENUMERATION_CAP else "closed-form"
     if method == "closed-form":
         return float(1.0 - (1.0 - p) * (1.0 - delta) ** steps)
-    if steps > enumeration_cap:
+    if steps > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"enumeration over 2**{steps} paths exceeds the cap 2**{enumeration_cap}"
+            f"enumeration over 2**{steps} paths exceeds the cap 2**{DEFAULT_ENUMERATION_CAP}"
         )
-    buf = _root(steps, p, enumeration_cap)
+    buf = _root(steps, p)
     for _ in _levels(buf, steps, delta, steps):
         pass
     return float(np.mean(buf))
@@ -333,10 +317,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def construct_code(n: int, p: float, fault: FaultSpec, k: int,
-                   max_exponent: int = DEFAULT_MAX_EXPONENT) -> CodeConstruction:
-    """Run density evolution and freeze all but the k best channels."""
-    z = evolve_all(n, p, fault, max_exponent=max_exponent)
+def construct_code(n: int, p: float, fault: FaultSpec, k: int) -> CodeConstruction:
+    """Run density evolution and freeze all but the k best channels.
+
+    Raises as evolve_all (n above DEFAULT_MAX_EXPONENT) and design_code do.
+    """
+    z = evolve_all(n, p, fault)
     _, frozen = design_code(z, k)
     return CodeConstruction(n=n, channel_erasure=p, fault=fault,
                             reliabilities=z, frozen_mask=frozen)

@@ -23,7 +23,6 @@ from faultypolar import (
 )
 from faultypolar import analysis
 from faultypolar.analysis import _rate_points
-from faultypolar.construction import DEFAULT_MAX_EXPONENT
 
 
 def test_fer_proxy_examples():
@@ -152,6 +151,16 @@ def test_sweep_result_validation():
         fer_vs_rate_sweep(3, 0.5, FaultSpec(), rates=[0.05])  # k would be 0
 
 
+def test_sweep_result_leaves_the_callers_series_alone():
+    series = {"a": [1.0, 2.0], "b": [3, 4]}
+    result = SweepResult(axis=[0, 1], series=series, metadata={})
+    assert all(type(values) is list for values in series.values())
+    assert series == {"a": [1.0, 2.0], "b": [3, 4]}
+    assert result.series is not series
+    assert result.series["a"].tolist() == [1.0, 2.0]
+    assert result.series["b"].dtype == np.asarray([3, 4]).dtype
+
+
 def test_metadata_regenerates_result():
     fault = FaultSpec(delta=1e-5, unprotected_steps=4)
     first = fer_vs_rate_sweep(9, 0.4, fault)
@@ -180,15 +189,14 @@ def _rate_loss_reference(p, deltas, n_u_values):
     return series
 
 
-def _protection_reference(n, p, delta, n_p_values, rates=DEFAULT_RATE_GRID,
-                          max_exponent=DEFAULT_MAX_EXPONENT):
+def _protection_reference(n, p, delta, n_p_values, rates=DEFAULT_RATE_GRID):
     """protection_sweep's series, one evolve_all per n_p."""
     if not n_p_values:
         raise ValueError("n_p_values must not be empty")
     series = {}
     for n_p in n_p_values:
         fault = FaultSpec.from_protected_levels(n, n_p, delta)
-        z = evolve_all(n, p, fault, max_exponent=max_exponent)
+        z = evolve_all(n, p, fault)
         ks, realized, proxy = _rate_points(z, rates)
         series[f"proxy_raw_np{n_p}"] = proxy
         series[f"proxy_clamped_np{n_p}"] = np.minimum(proxy, 1.0)
@@ -261,7 +269,6 @@ def test_protection_sweep_matches_the_loop_for_unordered_levels(n_p_values, delt
 
 @pytest.mark.parametrize("args, kwargs, error", [
     ((25, 0.5, 1e-3, [0]), {}, ResourceLimitError),
-    ((6, 0.5, 1e-3, [0]), {"max_exponent": 5}, ResourceLimitError),
     ((-1, 0.5, 1e-3, [0]), {}, ValueError),
     ((6, 1.5, 1e-3, [0]), {}, ValueError),
     ((6, float("nan"), 1e-3, [0]), {}, ValueError),

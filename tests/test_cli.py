@@ -1,6 +1,7 @@
 """CLI: file outputs, manifests, determinism, and exit codes."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def test_parse_specs():
     assert parse_float_list("1e-3,1e-4,0.5") == [1e-3, 1e-4, 0.5]
     with pytest.raises(ValueError):
         parse_int_spec("5..1")
+
+
+def test_range_spec_is_capped_before_its_list_is_built():
+    cap = cli.RANGE_SPEC_CAP
+    assert len(parse_int_spec(f"3..{cap + 2}")) == cap
+    with pytest.raises(ValueError, match="more than"):
+        parse_int_spec(f"3..{cap + 3}")
+    # the length comes from the endpoints: this range would need 8 PB
+    with pytest.raises(ValueError, match="more than"):
+        parse_int_spec("0..1000000000000000")
 
 
 def test_construct_outputs(tmp_path):
@@ -301,6 +312,9 @@ def _write_csv_rows(path, header, rows):
     (["index", "z"], [np.arange(1, 5), np.array([np.nan, -0.0, -np.inf, 0.0])]),
     (["index", "frozen"], [np.arange(1, 5), np.array([True, False, False, True])]),
     (["index", "z"], [np.array([], dtype=np.int64), np.array([], dtype=np.float64)]),
+    # two blocks and part of a third
+    (["index", "frozen"],
+     [np.arange(1, 2**15 + 6), np.arange(2**15 + 5) % 3 == 0]),
     (["index", "z"],
      [np.arange(1, 2**15 + 1),
       np.ldexp(np.random.default_rng(5).random(2**15),
@@ -436,6 +450,40 @@ def _exit_code(args, out_dir):
 def test_cli_error_exit_codes(args, code, tmp_path, capsys):
     assert _exit_code(args, tmp_path) == code
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "rate-loss", "--p", "0.5", "--deltas", "1e-3", "--nu", "0..1000000000000000"],
+    ["sweep", "protection", "--n", "5", "--delta", "1e-3", "--np", "0..1000000000000000"],
+])
+def test_oversized_range_spec_is_usage_error(args, tmp_path, capsys):
+    assert _exit_code(args, tmp_path) == 2
+    assert "parse_int_spec" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _cli_peak(args, tmp_path):
+    tracemalloc.start()
+    try:
+        assert run_cli(args, tmp_path) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_text_is_held_one_block_at_a_time(tmp_path):
+    # what each command allocates besides the text, plus at most one block
+    # of CSV_BLOCK_ROWS rows (about 2.4 MiB of text and cells)
+    n, block = 18, 4 * 2**20
+    size = 2**n
+    # the sorted values and the i/N axis
+    staircase = _cli_peak(["sweep", "staircase", "--n", str(n)], tmp_path)
+    assert staircase <= 16 * size + block
+    # reliabilities, index and int64 frozen columns, the bool mask and the
+    # k = N/2 information indices
+    construct = _cli_peak(["construct", "--n", str(n), "--p", "0.5", "--delta", "1e-6",
+                           "--rate", "0.5"], tmp_path)
+    assert construct <= 3 * 8 * size + size + 8 * (size // 2) + block
 
 
 @pytest.mark.parametrize("args", [

@@ -18,7 +18,6 @@ from .construction import (
     _root,
     evolve_all,
     pe_counts,
-    rate_loss,
 )
 from .core import FaultSpec, _require_unit_interval
 
@@ -206,8 +205,8 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
             if nu <= DEFAULT_ENUMERATION_CAP:
                 # rate_loss's clamp of the delta = 0 rounding residue
                 losses[idx] = max(means[nu] - p, 0.0)
-            else:
-                losses[idx] = rate_loss(p, delta, nu)
+            else:  # rate_loss's closed form; the inputs were checked above
+                losses[idx] = max(1.0 - (1.0 - p) * (1.0 - delta) ** nu - p, 0.0)
         series[f"delta_r_{label}"] = losses
         series[f"pct_capacity_{label}"] = 100.0 * losses / capacity
     return SweepResult(

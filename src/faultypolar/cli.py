@@ -182,10 +182,10 @@ def _run(args) -> int:
 
 def cmd_construct(args, fault, k) -> list:
     code = construct_code(args.n, args.p, fault, k)
-    index = np.arange(1, code.N + 1)
+    # int32 and a uint8 view of the mask print the same integers as int64
+    index = np.arange(1, code.N + 1, dtype=np.int32)
     return [("reliabilities.csv", ["index", "z"], [index, code.reliabilities]),
-            ("code.csv", ["index", "frozen"],
-             [index, code.frozen_mask.astype(np.int64)])]
+            ("code.csv", ["index", "frozen"], [index, code.frozen_mask.view(np.uint8)])]
 
 
 def cmd_simulate(args, fault, k) -> list:

@@ -22,11 +22,15 @@ feedback every known message is correct, so a genie decode carries the
 erased bits alone. encode runs its butterfly on the same packed planes.
 
 Both correlation modes run one schedule on one layout; the mode picks
-only which tree levels each bit recomputes (see _decode_batch). A caller
-that reads only some decisions names them, and the decoder skips every
-node that feeds only unread frozen decisions; the fault schedule does not
-change. The simulations read the information decisions alone (genie runs
-read them all), and sc_decode reads every decision.
+only which tree levels each bit recomputes (see _decode_batch). That
+schedule fixes each message's fault hits by offset: a bit's hits follow
+those of the bits before it, its top level first, so a level-L node of a
+bit that recomputes from level top reads 2**L hit rows at offset
+2**(top+1) - 2**(L+1) within the bit. A caller that reads the information
+decisions alone says so (info_only), and the decoder skips every node
+that feeds only frozen decisions; a skipped node reads no hits, and the
+others read theirs at the same rows. Non-genie simulations read the
+information decisions alone; genie runs and sc_decode read them all.
 """
 
 from __future__ import annotations
@@ -174,24 +178,6 @@ def _polar_transform(planes: np.ndarray) -> None:
         w *= 2
 
 
-class _HitStream:
-    """Packed per-frame fault hits consumed in the decoder's fixed schedule."""
-
-    __slots__ = ("hits", "pos")
-
-    def __init__(self, hits: np.ndarray):
-        self.hits = hits
-        self.pos = 0
-
-    def take(self, width: int) -> np.ndarray:
-        end = self.pos + width
-        if end > self.hits.shape[0]:
-            raise InternalInvariantError("fault hit stream overrun")
-        block = self.hits[self.pos:end]
-        self.pos = end
-        return block
-
-
 def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
     """Fault draws one decode consumes per frame."""
     ueff = fault.effective_steps(n)
@@ -214,7 +200,7 @@ def _block_any(leaves: np.ndarray, n: int) -> list[np.ndarray]:
 
 def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
                   mode: str, genie: bool, codeword: np.ndarray | None,
-                  fault_hits: np.ndarray | None, *, read: np.ndarray | None = None):
+                  fault_hits: np.ndarray | None, *, info_only: bool = False):
     """Decode a (B, N) batch of frames; returns the packed decision planes.
 
     erased is the (B, N) bool channel-erasure mask and codeword the
@@ -223,14 +209,6 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     erase it reports the codeword bit: the codeword is the channel's sign
     plane, and its bits at erased positions are don't-care. The genie
     kernel carries no signs and ignores codeword, which may be None.
-
-    fault_hits is the (fault_slot_count, ceil(B/8)) packed plane of the
-    frames' fault hits (uniform < delta): bit k of byte j in row s is slot
-    s of frame 8j + k, and pad bits are 0. Its memory order is free. Each
-    message takes the next hit in the fixed schedule and is erased where
-    it is set. The schedule is data-independent, so two runs seeing the
-    same per-frame hits produce identical results no matter how frames
-    are grouped into batches.
 
     Level n is the channel, level 0 the decisions. Bit i, in order,
     recomputes from a top level down its level-L block, rows (i >> L) << L
@@ -242,17 +220,28 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     i reads was computed at its first bit, and no level-(L + 1) node has
     run since. The decisions keep all N rows.
 
-    read, an N-long bool mask, names the decisions the caller reads; the
-    default is all of them. A node is evaluated only when a read decision
-    or an information decision, whose partial sums feed later bits,
-    depends on it; frozen decisions feed 0 forward whatever they are. In
-    shared mode a level-L block feeds the decisions of its own rows, so it
-    is skipped when they hold no read and no information bit (a rate-0
-    subtree of simplified SC), and so are its descendants. In
-    independent_tree mode each bit's path feeds its own decision alone,
-    so an unread frozen bit skips every level. A skipped node still takes
-    its hits from the stream, so the schedule, and every decision that is
-    evaluated, is that of the full decode.
+    fault_hits is the (fault_slot_count, ceil(B/8)) packed plane of the
+    frames' fault hits (uniform < delta), or None when there are none:
+    bit k of byte j in row s is slot s of frame 8j + k, and pad bits are
+    0. Its memory order is free. A message of a faulty level L >= lo,
+    lo = n - fault.effective_steps(n), is erased where its hit is set.
+    Each hit's row follows from the schedule alone. Bit i's hits start at
+    row base, the sum of 2**(t + 1) - 2**lo over the earlier bits whose
+    top level t is at least lo; its level-L block reads the 2**L rows from
+    base + 2**(top + 1) - 2**(L + 1), where top is its own top level. So
+    two runs seeing the same per-frame hits produce identical results no
+    matter how frames are grouped into batches. A plane of any other row
+    count raises InternalInvariantError before anything is decoded.
+
+    With info_only the caller reads the information decisions alone, and
+    a node is evaluated only when one of them depends on it; frozen
+    decisions feed 0 forward whatever they are. In shared mode a level-L
+    block feeds the decisions of its own rows, so it is skipped when they
+    hold no information bit (a rate-0 subtree of simplified SC), and so
+    are its descendants. In independent_tree mode each bit's path feeds
+    its own decision alone, so a frozen bit skips every level. A skipped
+    node reads no hits, and the others read their own rows, so every
+    decision that is evaluated is that of the full decode.
 
     The kernel works on packed bit planes of shape (rows, ceil(B/8))
     uint8, positions-major: bit k of byte j in row i belongs to frame
@@ -288,10 +277,12 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     """
     batch, size = erased.shape
     n = size.bit_length() - 1
-    faulty_min_level = n - fault.effective_steps(n)
-    stream = None
-    if fault_hits is not None and fault.delta > 0:
-        stream = _HitStream(fault_hits)
+    slots = fault_slot_count(n, fault, mode)
+    height = 0 if fault_hits is None else fault_hits.shape[0]
+    if height != slots:
+        raise InternalInvariantError(f"fault hit plane has {height} rows, the schedule "
+                                     f"reads {slots}")
+    lo = n - fault.effective_steps(n) if slots else n  # the lowest faulty level
 
     signs = not genie
     channel = (_pack_frames(erased),) + ((codeword,) if signs else ())
@@ -301,18 +292,17 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
         return np.empty((rows, nbytes), dtype=np.uint8)
 
     info = ~frozen_mask
-    needed = np.ones(size, dtype=bool) if read is None else read | info
     if signs:
         sums = [planes(1 << level) for level in range(n)]
         scratch = planes(size // 2)
+    if signs or info_only:
         has_info = _block_any(info, n)
-    live = _block_any(needed, n)
     msgs = [tuple(planes(1 << level if level else size) for _ in channel)
             for level in range(n)] + [channel]
     decision = msgs[0]
     recompute_all = mode != SHARED
 
-    def node(level, i0):
+    def node(level, i0, row):
         width = 1 << level
         parent, out = msgs[level + 1], msgs[level]
         dst = 0 if level else i0
@@ -337,17 +327,18 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             else:
                 np.bitwise_or(el, er, out=out_e)
                 np.bitwise_xor(sl, sr, out=out_s)
-        if stream is not None and level >= faulty_min_level:
+        if level >= lo:
             # an erased message stays erased, so erasing every hit is exact
-            np.bitwise_or(out_e, stream.take(width), out=out_e)
+            np.bitwise_or(out_e, fault_hits[row:row + width], out=out_e)
 
+    base = 0  # the first hit row of bit i0
     for i0 in range(size):
         top = n - 1 if recompute_all or i0 == 0 else (i0 & -i0).bit_length() - 1
         for level in range(top, -1, -1):
-            if (needed[i0] if recompute_all else live[level][i0 >> level]):
-                node(level, i0)
-            elif stream is not None and level >= faulty_min_level:
-                stream.take(1 << level)  # the skipped node's hits
+            if not info_only or (info[i0] if recompute_all else has_info[level][i0 >> level]):
+                node(level, i0, base + (2 << top) - (2 << level))
+        if top >= lo:
+            base += (2 << top) - (1 << lo)
 
         end = (i0 + 1) & -(i0 + 1)  # 2**t: bit i0 ends the blocks of levels 0..t
         if not signs or end == size:
@@ -369,8 +360,8 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             x = end - (1 << level)
             np.bitwise_xor(sums[level], acc[x:], out=acc[x - (1 << level):x])
 
-    if stream is not None and stream.pos != stream.hits.shape[0]:
-        raise InternalInvariantError("fault hit stream not fully consumed")
+    if base != slots:
+        raise InternalInvariantError(f"the schedule read {base} of {slots} fault hit rows")
     return decision
 
 

@@ -28,7 +28,7 @@ from .errors import ResourceLimitError
 
 # Largest exponent density evolution accepts. It grows every level inside
 # one buffer of N = 2**n doubles, 128 MiB at n = 24; sweep protection holds
-# 1.5 such buffers.
+# 1.5 such buffers, and construct 2.75 while it sorts one.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean expected_epsilon and

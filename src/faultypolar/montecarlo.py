@@ -125,19 +125,19 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
     channel; without the genie each of those twice (E and S, the codeword
     being the channel's S), N - 1 rows of partial sums and a half-height
     g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
-    chunk (batch = 0 gives it alone), 12 bytes per position: the int64
-    information indices and four bool masks (the information set in the
-    chunk and in the decoder, the decoded set and its block pyramid);
-    without the genie, 9 more for the information set's pyramid and the
-    eight lanes of source bits. Fixed scratch (the eight lanes of fault
-    hits, a block of raw words and the packing buffers, 64 KiB each) is
-    not counted.
+    chunk (batch = 0 gives it alone), 10 bytes per position: the int64
+    information indices and the information set as a bool mask in the
+    chunk and in the decoder; without the genie, 9 more for the
+    information set's block pyramid, which the decoder's rate-0 skip and
+    partial sums read, and the eight lanes of source bits. Fixed scratch
+    (the eight lanes of fault hits, a block of raw words and the packing
+    buffers, 64 KiB each) is not counted.
     """
     size = 1 << n
     if genie:
-        packed, chunk = 3 * size, 12 * size
+        packed, chunk = 3 * size, 10 * size
     else:
-        packed, chunk = 7 * size + size // 2, 21 * size
+        packed, chunk = 7 * size + size // 2, 19 * size
     return batch * size + -(-batch // 8) * (slots + packed) + chunk
 
 
@@ -201,7 +201,8 @@ def binomial_ci95(count: int, n: int) -> tuple[float, float]:
     """95% interval for a binomial proportion.
 
     Normal approximation, switching to exact Clopper-Pearson when either
-    tail count is below 10.
+    tail count is below 10. Its bounds are beta quantiles, taken from
+    scipy.special.betaincinv, the function scipy.stats.beta.ppf wraps.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -209,10 +210,10 @@ def binomial_ci95(count: int, n: int) -> tuple[float, float]:
         raise ValueError(f"count must be in 0..{n}, got {count}")
     phat = count / n
     if min(count, n - count) < 10:
-        from scipy.stats import beta
+        from scipy.special import betaincinv
 
-        lo = 0.0 if count == 0 else float(beta.ppf(0.025, count, n - count + 1))
-        hi = 1.0 if count == n else float(beta.ppf(0.975, count + 1, n - count))
+        lo = 0.0 if count == 0 else float(betaincinv(count, n - count + 1, 0.025))
+        hi = 1.0 if count == n else float(betaincinv(count + 1, n - count, 0.975))
         return lo, hi
     half = 1.959963984540054 * math.sqrt(phat * (1.0 - phat) / n)
     return max(0.0, phat - half), min(1.0, phat + half)
@@ -305,7 +306,7 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     decision_erased = _decode_batch(
         erased, code.frozen_mask, config.fault, config.fault.correlation_mode,
         config.genie, codeword, None if hits is None else hits.T,
-        read=None if config.genie else info)[0]
+        info_only=not config.genie)[0]
 
     # packed rows: bit k of byte j is trial start + 8j + k; pad bits are 0
     erased_info = decision_erased[info]

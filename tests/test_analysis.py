@@ -244,6 +244,21 @@ def test_rate_loss_sweep_matches_per_point_rate_loss(p, n_u_values):
     assert result.axis.tolist() == n_u_values
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+def test_rate_loss_sweep_takes_the_closed_form_inline_above_the_cap(p, monkeypatch):
+    # above the enumeration cap the sweep evaluates rate_loss's closed form
+    # itself, with the inputs checked once, and gets its bits
+    deltas = (0.0, 1e-5, 0.5, 1.0)
+    n_u_values = [*range(21, 2001), 10**6]
+    expected = _rate_loss_reference(p, deltas, n_u_values)
+
+    def per_point(*args, **kwargs):
+        raise AssertionError("rate_loss called once per n_u")
+    monkeypatch.setattr(analysis, "rate_loss", per_point, raising=False)
+    monkeypatch.setattr(analysis, "expected_epsilon", per_point, raising=False)
+    _assert_same_series(rate_loss_sweep(p, deltas, n_u_values).series, expected)
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-3, 1.0])
 @pytest.mark.parametrize("n", range(11))
 def test_protection_sweep_matches_per_level_count_loop(n, delta):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faultypolar import cli
+from faultypolar import InternalInvariantError, cli
 from faultypolar.cli import _fmt, _write_csv, main, parse_float_list, parse_int_spec
 
 
@@ -94,6 +94,15 @@ def test_resource_error_exit_code(tmp_path):
     rc = run_cli(["construct", "--n", "30", "--p", "0.5", "--delta", "0",
                   "--rate", "0.5"], tmp_path)
     assert rc == 3
+
+
+def test_internal_invariant_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("counts disagree")
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    assert run_cli(SIMULATE, tmp_path) == 4
+    assert "internal invariant violated: counts disagree" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("args", [
@@ -479,11 +488,11 @@ def test_csv_text_is_held_one_block_at_a_time(tmp_path):
     # the sorted values and the i/N axis
     staircase = _cli_peak(["sweep", "staircase", "--n", str(n)], tmp_path)
     assert staircase <= 16 * size + block
-    # reliabilities, index and int64 frozen columns, the bool mask and the
-    # k = N/2 information indices
+    # the float64 reliabilities, the int32 index, the bool mask (the frozen
+    # column is a view of it) and the k = N/2 int64 information indices
     construct = _cli_peak(["construct", "--n", str(n), "--p", "0.5", "--delta", "1e-6",
                            "--rate", "0.5"], tmp_path)
-    assert construct <= 3 * 8 * size + size + 8 * (size // 2) + block
+    assert construct <= (8 + 4 + 1) * size + 8 * (size // 2) + block
 
 
 @pytest.mark.parametrize("args", [

@@ -9,11 +9,13 @@ import pytest
 from faultypolar import (
     ERASED_BIT,
     FaultSpec,
+    InternalInvariantError,
     construct_code,
     encode,
     sc_decode,
     transmit_bec,
 )
+from faultypolar import codec
 from faultypolar.codec import _decode_batch, _pack_frames, _unpack_frames, fault_slot_count
 
 
@@ -116,6 +118,7 @@ def test_encode_batches_match_matrix_oracle(n):
         assert x.shape == u.shape and x.dtype == np.int8, shape
         assert np.array_equal(x, (u @ g) % 2), shape
     assert np.array_equal(encode(u.astype(bool)), (u @ g) % 2)
+    assert np.array_equal(encode(u.astype(float)), (u @ g) % 2)  # checked cell by cell
 
 
 def test_encode_rejects_bad_input():
@@ -123,6 +126,8 @@ def test_encode_rejects_bad_input():
         encode([0, 1, 1])
     with pytest.raises(ValueError):
         encode([0, 2, 1, 1])
+    with pytest.raises(ValueError):
+        encode([0.0, 0.5])
     with pytest.raises(ValueError):
         encode([0, 1], n=2)
 
@@ -511,6 +516,29 @@ def test_decode_batch_rows_independent_of_batching(mode, genie):
         assert np.array_equal(alone[1][0], together[1][row])
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_hit_plane_of_another_height_is_refused_before_decoding(monkeypatch, mode, genie,
+                                                                extra):
+    # each hit's row follows from the schedule, so a plane one row short or
+    # one row long is refused before the channel is even packed
+    rng = np.random.default_rng(13)
+    n, batch = 4, 9
+    fault = FaultSpec(delta=0.05, unprotected_steps=2)
+    frozen_mask = rng.random(1 << n) < 0.5
+    u, y = _random_batch(rng, n, batch, frozen_mask, 0.3)
+    slots = fault_slot_count(n, fault, mode)
+    hits = _pack_frames(rng.random((batch, slots + extra)) < fault.delta)
+    codeword = _pack_frames(encode(u))
+
+    def decoding(*args):
+        raise AssertionError("the decoder packed the channel")
+    monkeypatch.setattr(codec, "_pack_frames", decoding)
+    with pytest.raises(InternalInvariantError, match="fault hit plane"):
+        _decode_batch(y == 0, frozen_mask, fault, mode, genie, codeword, hits)
+
+
 def _packed_counts(erased_plane, info, batch):
     """Frame and information-bit erasures counted on packed rows, as a simulation does."""
     rows = erased_plane[info]
@@ -527,26 +555,28 @@ def _hit_rows(rng, batch, slots, delta):
     return np.stack([rng.random(slots) < delta for _ in range(batch)])
 
 
-def _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, case):
-    """Skipping the nodes that feed only unread frozen decisions changes no
+def _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, case, genie=False):
+    """Skipping the nodes that feed only frozen decisions changes no
     information decision, frame count or bit count."""
     u, y = _random_batch(rng, n, batch, ~info, 0.3)
     hits = _hit_rows(rng, batch, fault_slot_count(n, fault, mode), fault.delta)
-    args = (y == 0, ~info, fault, mode, False, encode(u), hits)
+    args = (y == 0, ~info, fault, mode, genie, encode(u), hits)
     full = _decode_dense(*args)
-    skipped = _decode_dense(*args, read=info)
+    skipped = _decode_dense(*args, info_only=True)
     counted = [_packed_counts(planes[0], info, batch) for planes in (full, skipped)]
     assert np.array_equal(counted[0][0], counted[1][0]), case
     assert counted[0][1:] == counted[1][1:], case
-    signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
-    assert np.array_equal(*signs), case
+    if not genie:
+        signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
+        assert np.array_equal(*signs), case
     erased = _unpack_frames(full[0], batch).view(bool)[:, info]
     assert counted[0][1:] == (erased.any(axis=1).sum(), erased.sum()), case
 
 
+@pytest.mark.parametrize("genie", [False, True])
 @pytest.mark.parametrize("mode", ["shared", "independent_tree"])
 @pytest.mark.parametrize("n", range(0, 9))
-def test_reading_the_information_decisions_alone_is_exact(n, mode):
+def test_reading_the_information_decisions_alone_is_exact(n, mode, genie):
     rng = np.random.default_rng(300 + n)
     size = 1 << n
     for delta, steps, k in itertools.product((0.0, 0.05, 1.0), (None, 0, 1, n),
@@ -556,7 +586,8 @@ def test_reading_the_information_decisions_alone_is_exact(n, mode):
             info = ~construct_code(n, 0.4, fault, k).frozen_mask
         else:  # n = 0: a code needs 1 <= k < N, so set the lone bit directly
             info = np.full(size, k > 0)
-        _assert_reading_info_is_exact(rng, n, mode, info, fault, 13, (delta, steps, k))
+        _assert_reading_info_is_exact(rng, n, mode, info, fault, 13,
+                                      (delta, steps, k), genie)
 
 
 def _stale_sum_mask(rng, n):

@@ -64,6 +64,8 @@ def test_index_to_path_rejects_out_of_range():
         index_to_path(0, 3)
     with pytest.raises(ValueError):
         index_to_path(9, 3)
+    with pytest.raises(ValueError, match="exponent"):
+        index_to_path(1, -1)
 
 
 def test_evolve_path_examples():
@@ -305,6 +307,8 @@ def test_pe_counts():
                for f, g in zip(fractions, fractions[1:]))
     with pytest.raises(ValueError):
         pe_counts(4, 6)
+    with pytest.raises(ValueError, match="exponent"):
+        pe_counts(-1, 0)
 
 
 def test_code_construction_invariants():

@@ -164,19 +164,20 @@ def test_simulate_csv_goldens(name, tmp_path):
 
 
 def test_clopper_pearson_golden_takes_the_beta_branch(tmp_path, monkeypatch):
-    from scipy.stats import beta
+    import scipy.special
 
     calls = []
-    ppf = beta.ppf
-    monkeypatch.setattr(beta, "ppf", lambda *args: calls.append(args) or ppf(*args))
+    inverse = scipy.special.betaincinv
+    monkeypatch.setattr(scipy.special, "betaincinv",
+                        lambda *args: calls.append(args) or inverse(*args))
     argv, _ = SIMULATE_GOLDENS["clopper-pearson"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     header, row = (tmp_path / "sim.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     frames, erased = int(cells["frames"]), int(cells["frame_erasures"])
     assert min(erased, frames - erased) < 10
-    assert calls == [(0.025, erased, frames - erased + 1),
-                     (0.975, erased + 1, frames - erased)]
+    assert calls == [(erased, frames - erased + 1, 0.025),
+                     (erased + 1, frames - erased, 0.975)]
 
 
 @pytest.mark.parametrize("name", sorted(DESIGN_GOLDENS))

@@ -182,6 +182,28 @@ def test_binomial_ci95():
             binomial_ci95(count, n)
 
 
+def test_clopper_pearson_bounds_equal_the_beta_quantiles():
+    # binomial_ci95 calls the inverse incomplete beta function that
+    # scipy.stats.beta.ppf wraps, so both give the same bits; every count
+    # within 9 of either end, n up to 10**7
+    from scipy.stats import beta
+
+    ns = sorted({*range(1, 25), 30, 50, 99, 100, 1000, 12345, 10**5, 10**6, 10**7 - 1, 10**7})
+    cases = 0
+    for n in ns:
+        for count in sorted({*range(min(10, n + 1)), *range(max(0, n - 9), n + 1)}):
+            lo = 0.0 if count == 0 else float(beta.ppf(0.025, count, n - count + 1))
+            hi = 1.0 if count == n else float(beta.ppf(0.975, count + 1, n - count))
+            assert binomial_ci95(count, n) == (lo, hi), (count, n)
+            cases += 1
+    assert cases == 509
+
+
+def test_threads_below_one_are_refused():
+    with pytest.raises(ValueError, match="threads"):
+        run_simulation(_config(trials=8), threads=0)
+
+
 def test_genie_per_bit_counts_present_only_in_genie_mode():
     assert run_simulation(_config(trials=50)).per_bit_erasures is None
     outcome = run_simulation(_config(trials=50, genie=True))
@@ -389,12 +411,12 @@ def test_trial_bytes_admit_the_documented_sizes():
     # a lone trial: its bool channel-erasure row, a packed group of eight
     # frames at one byte per fault slot and 7.5 bytes per position for the
     # packed planes, and the chunk's index array, position masks and source
-    # lanes at 21 bytes per position
+    # lanes at 19 bytes per position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree, "independent_tree")
-    assert _trial_bytes(8, slots) == slots + (1 + 7 + 21) * 256 + 128
-    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 21) * 1024 + 512
+    assert _trial_bytes(8, slots) == slots + (1 + 7 + 19) * 256 + 128
+    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 19) * 1024 + 512
     for n in range(1, 14):
         slots = fault_slot_count(n, tree, "independent_tree")
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
@@ -409,11 +431,11 @@ def test_trial_bytes_admit_the_documented_sizes():
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes a row: 206 MiB in all, of
+    # allocates its packed planes at N bytes a row: 198 MiB in all, of
     # which 30 MiB are the planes
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared, "shared")
-    assert _trial_bytes(22, slots) == 206 * 2**20 <= TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 198 * 2**20 <= TRIAL_BYTES_CEILING
     assert _trial_bytes(22, slots) - _trial_bytes(22, slots, batch=0) == (
         4 + 88 + 30) * 2**20
 
@@ -474,7 +496,7 @@ def test_default_chunks_pay_the_chunk_term_once():
 
 def test_genie_trial_bytes_admit_the_same_sizes():
     # genie runs count fewer planes, and they are admitted to the same n:
-    # independent-tree to n = 13, shared to n = 22 (152 MiB)
+    # independent-tree to n = 13, shared to n = 22 (144 MiB)
     for mode, largest in (("independent_tree", 13), ("shared", 22)):
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
@@ -482,7 +504,7 @@ def test_genie_trial_bytes_admit_the_same_sizes():
             admitted = _trial_bytes(n, slots, genie=True) <= TRIAL_BYTES_CEILING
             assert admitted == (n <= largest), (mode, n)
     slots = fault_slot_count(22, FaultSpec(delta=1e-3, correlation_mode="shared"), "shared")
-    assert _trial_bytes(22, slots, genie=True) == 152 * 2**20
+    assert _trial_bytes(22, slots, genie=True) == 144 * 2**20
 
 
 @pytest.mark.parametrize("n, mode, batch, k", [

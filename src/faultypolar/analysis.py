@@ -79,7 +79,7 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None) -> SweepResult:
     """FER proxy across a rate grid for one blocklength and fault spec."""
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
-    z = evolve_all(n, p, fault)
+    z = evolve_all(n, p, fault, ordered=False)
     ks, realized, proxy = _rate_points(z, rates)
     return SweepResult(
         axis=np.asarray(rates, dtype=np.float64),
@@ -96,7 +96,7 @@ def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None) -> SweepRe
 
 def staircase(n: int, p: float, fault: FaultSpec) -> SweepResult:
     """Ascending-sorted reliability values against the index fraction i/N."""
-    z = evolve_all(n, p, fault)
+    z = evolve_all(n, p, fault, ordered=False)
     z.sort()
     size = z.size
     axis = np.arange(1, size + 1, dtype=np.float64)
@@ -117,13 +117,15 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
     for each series.
 
     All series share one all-faulty trunk recursion: the code with s
-    faulty steps is trunk level s grown fault-free to level n, which is
-    evolve_all for that n_p bit for bit. Each distinct s is grown, sorted
-    and summed once, so repeated n_p values, and n_p = 0 and 1 (both give
-    s = n), cost one series. Trunk and branches share one 2**n buffer: the
-    trunk runs in its first 2**T cells, T the largest s, and a branch below
-    T saves its trunk level, grows over it and restores it, so the sweep
-    holds at most 1.5 buffers.
+    faulty steps is trunk level s grown fault-free to level n, which holds
+    the values of evolve_all for that n_p bit for bit. Each series sorts
+    them, so trunk and branches grow in construction._grow's order-free
+    layout. Each distinct s is grown, sorted and summed once, so repeated
+    n_p values, and n_p = 0 and 1 (both give s = n), cost one series.
+    Trunk and branches share one 2**n buffer: the trunk runs in its first
+    2**T cells, T the largest s, and a branch below T saves its trunk
+    level, grows over it and restores it, so the sweep holds at most 1.5
+    buffers.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
     n_p_values = tuple(n_p_values)
@@ -136,10 +138,10 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
     buf = _root(n, p)
     points = {}
     for steps, level in enumerate(_levels(buf[:2**trunk_steps], trunk_steps,
-                                          delta, trunk_steps)):
+                                          delta, trunk_steps, ordered=False)):
         if steps in branches:
             saved = level.copy() if steps < trunk_steps else None
-            for _ in _levels(buf, n - steps, delta, 0):
+            for _ in _levels(buf, n - steps, delta, 0, ordered=False):
                 pass
             points[steps] = _rate_points(buf, rates)
             if saved is not None:

@@ -293,8 +293,11 @@ _SWEEPS = [
 
 
 def _add_command(subparsers, name: str, label: str, help_text: str, tables,
-                 flags: dict) -> None:
+                 flags: dict, full: bool) -> None:
+    """Add the command `name`; its arguments only when `full`."""
     parser = subparsers.add_parser(name, help=help_text)
+    if not full:
+        return
     # one fault spec: --nu and --np are two ways to set the same protection
     protection = parser
     if "--nu" in flags and "--np" in flags:
@@ -311,24 +314,34 @@ def _add_command(subparsers, name: str, label: str, help_text: str, tables,
     parser.set_defaults(tables=tables, label=label)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser; for argv, with arguments only on the command it names.
+
+    Every command is added, so the command listings and the errors for an
+    unknown command are those of the full parser, but only the one that
+    argv[0] names (argv[1] under sweep) gets its arguments: argparse parses
+    argv with that command's parser alone. argv None builds every command.
+    """
+    words = None if argv is None else list(argv[:2])
     parser = argparse.ArgumentParser(
         prog="faultypolar",
         description="Polar codes on the BEC under erasure-faulty SC decoding.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, tables, flags in _COMMANDS:
-        _add_command(sub, name, name, help_text, tables, flags)
+        _add_command(sub, name, name, help_text, tables, flags,
+                     words is None or words[:1] == [name])
     p_sweep = sub.add_parser("sweep", help="analytic parameter sweeps")
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
     for name, help_text, tables, flags in _SWEEPS:
-        _add_command(sweep_sub, name, f"sweep {name}", help_text, tables, flags)
+        _add_command(sweep_sub, name, f"sweep {name}", help_text, tables, flags,
+                     words is None or words == ["sweep", name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return _run(args)
     except ValueError as exc:

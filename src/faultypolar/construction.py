@@ -27,8 +27,10 @@ from .core import (
 from .errors import ResourceLimitError
 
 # Largest exponent density evolution accepts. It grows every level inside
-# one buffer of N = 2**n doubles, 128 MiB at n = 24; sweep protection holds
-# 1.5 such buffers, and construct 2.75 while it sorts one.
+# one buffer of N = 2**n doubles, 128 MiB at n = 24, in natural or
+# order-free layout (see _grow); sweep protection holds 1.5 such buffers,
+# and construct 2 while np.partition copies one and 2.125 at rate 1/2
+# while it writes.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean expected_epsilon and
@@ -72,7 +74,8 @@ def evolve_path(bits: Sequence[int], p: float, fault: FaultSpec) -> float:
 
 
 # Scratch of a faulty density-evolution step, in doubles (64 KiB): the
-# fault terms of one output block. Input blocks are half that size.
+# fault terms of one output block. Natural-order input blocks are half that
+# size; order-free ones are its size, and each half is faulted on its own.
 _SCRATCH = 2**13
 
 
@@ -94,33 +97,63 @@ def _root(n: int, p) -> np.ndarray:
     return buf
 
 
-def _grow(buf: np.ndarray, size: int, delta: float, faulty: bool) -> None:
+def _grow(buf: np.ndarray, size: int, delta: float, faulty: bool,
+          ordered: bool = True) -> None:
     """Grow the level buf[:size] into the level buf[:2*size], in place.
 
-    Input blocks are read from the top down; block [lo, hi) with
+    Natural order (ordered, for callers that index or average the values;
+    see _levels): the children of cell i are cells 2i (minus) and 2i + 1
+    (plus). Input blocks are read from the top down; block [lo, hi) with
     2*lo >= hi writes children [2*lo, 2*hi), which hold only cells already
     read. The last block, [0, 1), writes its plus child into cell 1 first
-    and then its minus child over its own cell. A faulty step adds its
-    fault term to each block right after writing it.
+    and then its minus child over its own cell.
+
+    Order-free (for callers that sort): the new level is
+    [t_minus(z) | t_plus(z)]. Each input block of _SCRATCH cells writes
+    its plus half into buf[size:] first and then its minus half over
+    itself, so every ufunc runs on contiguous memory. Cell i then holds
+    the path whose step-s choice is bit s of i, the bit reversal of the
+    natural index, and the sorted level is natural order's bit for bit.
+
+    Either way a faulty step adds its fault term to each block right after
+    writing it, through one scratch of at most _SCRATCH doubles, and each
+    cell gets the same operations in the same order.
     """
     z = buf[:size]
     scratch = np.empty(min(2 * size, _SCRATCH), dtype=np.float64) if faulty else None
-    hi = size
-    while hi > 0:
-        lo = max(hi - _SCRATCH // 2, (hi + 1) // 2) if hi > 1 else 0
-        out = buf[2 * lo:2 * hi]
-        minus, plus = out[0::2], out[1::2]
-        np.multiply(z[lo:hi], z[lo:hi], out=plus)
-        np.multiply(z[lo:hi], 2, out=minus)
+    if ordered:
+        hi = size
+        while hi > 0:
+            lo = max(hi - _SCRATCH // 2, (hi + 1) // 2) if hi > 1 else 0
+            out = buf[2 * lo:2 * hi]
+            minus, plus = out[0::2], out[1::2]
+            np.multiply(z[lo:hi], z[lo:hi], out=plus)
+            np.multiply(z[lo:hi], 2, out=minus)
+            np.subtract(minus, plus, out=minus)
+            if faulty:
+                _add_fault(out, delta, scratch)
+            hi = lo
+        return
+    for lo in range(0, size, _SCRATCH):
+        minus = z[lo:lo + _SCRATCH]
+        plus = buf[size + lo:size + lo + minus.size]
+        np.multiply(minus, minus, out=plus)
+        np.multiply(minus, 2, out=minus)
         np.subtract(minus, plus, out=minus)
         if faulty:
-            lost = np.subtract(1, out, out=scratch[:out.size])
-            np.multiply(lost, delta, out=lost)
-            np.add(out, lost, out=out)
-        hi = lo
+            _add_fault(minus, delta, scratch)
+            _add_fault(plus, delta, scratch)
 
 
-def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int):
+def _add_fault(out: np.ndarray, delta: float, scratch: np.ndarray) -> None:
+    """out += (1 - out)*delta, the fault term, through the first out.size cells of scratch."""
+    lost = np.subtract(1, out, out=scratch[:out.size])
+    np.multiply(lost, delta, out=lost)
+    np.add(out, lost, out=out)
+
+
+def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int,
+            ordered: bool = True):
     """Yield the start level, then each of the `steps` levels grown from it.
 
     The density-evolution kernel of this package. The start level is the
@@ -131,21 +164,35 @@ def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int):
     core transfer maps, in the same order, without their per-call checks:
     callers check p and delta once (every level stays in [0, 1] when they
     lie there). Between levels the generator holds no scratch.
+
+    ordered picks _grow's layout. Natural order is for callers that index
+    the values or average them: evolve_all by default (construct and
+    simulate index its result), expected_epsilon and
+    analysis.rate_loss_sweep, whose np.mean sums pairwise, so a permuted
+    level could change a mean in its last bits. Callers that sort pass
+    ordered=False: analysis.protection_sweep for its trunk and branches,
+    and fer_vs_rate_sweep and staircase through evolve_all.
     """
     size = buf.size >> steps
     yield buf[:size]
     for j in range(steps):
-        _grow(buf, size, delta, j < faulty_steps)
+        _grow(buf, size, delta, j < faulty_steps, ordered)
         size *= 2
         yield buf[:size]
 
 
-def evolve_all(n: int, p: float, fault: FaultSpec) -> np.ndarray:
+def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.ndarray:
     """Compute all N = 2**n reliability values Z_1..Z_N.
 
     Levelwise recursion: O(N) space and O(N) transfer-function
     applications. Element i - 1 of the result equals
     evolve_path(index_to_path(i, n), p, fault) bit for bit.
+
+    ordered=False gives the same values in _grow's faster order-free
+    layout, element j holding Z_(r + 1) for r the n-bit reversal of j; sorted,
+    both give the same array bit for bit. fer_vs_rate_sweep and staircase,
+    which sort, pass it; construct and simulate keep natural order, which
+    is their output.
 
     n and p are checked here, once; the result is the last level of
     _levels, the package's one density-evolution recursion. Level j of
@@ -160,7 +207,7 @@ def evolve_all(n: int, p: float, fault: FaultSpec) -> np.ndarray:
         If n exceeds DEFAULT_MAX_EXPONENT (2**24 doubles, 128 MiB).
     """
     buf = _root(n, p)
-    for _ in _levels(buf, n, fault.delta, fault.effective_steps(n)):
+    for _ in _levels(buf, n, fault.delta, fault.effective_steps(n), ordered):
         pass
     return buf
 
@@ -179,14 +226,25 @@ def design_code(reliabilities, k: int) -> tuple[np.ndarray, np.ndarray]:
     ascending order, as int64, and a bool mask over 0-based positions, True
     where frozen. Ties between equal reliability values break toward the
     smaller index.
+
+    The set is that of a stable argsort's first k: every value below the
+    k-th smallest (np.partition) and the lowest-index ties of that value.
+    A NaN reliability among the k smallest is refused with ValueError.
     """
     z = np.asarray(reliabilities, dtype=np.float64)
     n_total = z.size
     if not 0 < k < n_total:
         raise ValueError(f"k must lie in 1..{n_total - 1}, got {k}")
-    frozen = np.ones(n_total, dtype=bool)
-    frozen[np.argsort(z, kind="stable")[:k]] = False
-    return np.flatnonzero(~frozen).astype(np.int64) + 1, frozen
+    kth = np.partition(z, k - 1)[k - 1]
+    if np.isnan(kth):
+        raise ValueError("reliabilities must not be NaN")
+    info = z < kth
+    ties = np.flatnonzero(z == kth)
+    info[ties[:k - np.count_nonzero(info)]] = True
+    del ties  # up to 8 bytes per position when every value ties
+    indices = np.flatnonzero(info).astype(np.int64, copy=False)
+    indices += 1
+    return indices, np.logical_not(info, out=info)
 
 
 def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto") -> float:
@@ -284,8 +342,11 @@ class CodeConstruction:
                              f"{frozen.dtype} of shape {frozen.shape}")
         if not (z.min() >= 0.0 and z.max() <= 1.0):
             raise ValueError("reliabilities must lie in [0, 1]")
-        info = np.flatnonzero(~frozen).astype(np.int64) + 1
-        if 0 < info.size < n_total and z[~frozen].max() > z[frozen].min():
+        chosen = ~frozen
+        info = np.flatnonzero(chosen).astype(np.int64, copy=False)
+        info += 1
+        if 0 < info.size < n_total and (z.max(where=chosen, initial=0.0)
+                                        > z.min(where=frozen, initial=1.0)):
             raise ValueError("the information set contains a less reliable "
                              "channel than the frozen set")
         object.__setattr__(self, "reliabilities", z)
@@ -323,6 +384,6 @@ def construct_code(n: int, p: float, fault: FaultSpec, k: int) -> CodeConstructi
     Raises as evolve_all (n above DEFAULT_MAX_EXPONENT) and design_code do.
     """
     z = evolve_all(n, p, fault)
-    _, frozen = design_code(z, k)
+    frozen = design_code(z, k)[1]  # CodeConstruction derives the indices
     return CodeConstruction(n=n, channel_erasure=p, fault=fault,
                             reliabilities=z, frozen_mask=frozen)

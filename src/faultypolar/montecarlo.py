@@ -141,12 +141,13 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
     return batch * size + -(-batch // 8) * (slots + packed) + chunk
 
 
-def _chunk_trials(n: int, slots: int, genie: bool) -> int:
-    """Default trials per chunk: the groups of eight that fit in
-    _CHUNK_BYTES once the per-chunk term is paid."""
+def _chunk_trials(n: int, slots: int, genie: bool, threads: int = 1) -> int:
+    """Default trials per chunk: the groups of eight that fit in a 1/threads
+    share of _CHUNK_BYTES once the per-chunk term is paid, so the chunks
+    that `threads` workers hold at once fit _CHUNK_BYTES together."""
     fixed = _trial_bytes(n, slots, batch=0, genie=genie)
     group = _trial_bytes(n, slots, batch=8, genie=genie) - fixed
-    return min(_MAX_CHUNK, max(1, 8 * ((_CHUNK_BYTES - fixed) // group)))
+    return min(_MAX_CHUNK, max(1, 8 * ((_CHUNK_BYTES // threads - fixed) // group)))
 
 
 @dataclass(frozen=True)
@@ -324,9 +325,9 @@ def run_simulation(config: SimConfig, threads: int = 1,
 
     The outcome is identical for any threads or chunk_size setting: trials
     consume only their own substreams and the integer counts reduce in
-    trial order. Default chunks are sized to about _CHUNK_BYTES (64 MiB)
-    each whatever threads is, and up to `threads` of them run at once, so
-    a threaded run may hold threads times that.
+    trial order. Up to `threads` chunks run at once, and default chunks
+    are sized so that together they fit about _CHUNK_BYTES (64 MiB); a
+    chunk is at least one trial, which may exceed its share at large n.
     """
     code = config.code
     if config.trials > TRIALS_HARD_CAP:
@@ -345,7 +346,7 @@ def run_simulation(config: SimConfig, threads: int = 1,
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     if chunk_size is None:
-        chunk_size = _chunk_trials(code.n, slots, config.genie)
+        chunk_size = _chunk_trials(code.n, slots, config.genie, threads)
     chunk_size = max(1, min(chunk_size, config.trials))
     bounds = [(s, min(s + chunk_size, config.trials))
               for s in range(0, config.trials, chunk_size)]

@@ -282,6 +282,28 @@ def test_protection_sweep_matches_the_loop_for_unordered_levels(n_p_values, delt
     _assert_same_series(result.series, _protection_reference(10, 0.3, delta, n_p_values))
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
+def test_order_free_sweeps_match_natural_order(p, delta):
+    # the trunk and its branches grow order-free; every n_p (n_u from n + 1
+    # down to 0) must give the loop's natural-order bits, as must fer-rate
+    # and staircase
+    for n in range(1, 13):
+        size = 2**n
+        rates = [1 / size, 0.5, (size - 1) / size]
+        n_p_values = range(n + 2)
+        result = protection_sweep(n, p, delta, n_p_values, rates=rates)
+        _assert_same_series(result.series,
+                            _protection_reference(n, p, delta, n_p_values, rates=rates))
+        for n_u in dict.fromkeys([None, 0, 1, n // 2]):
+            fault = FaultSpec(delta=delta, unprotected_steps=n_u)
+            natural = np.sort(evolve_all(n, p, fault))
+            assert staircase(n, p, fault).series["z"].tobytes() == natural.tobytes()
+            proxy = _rate_points(natural, rates)[2]
+            swept = fer_vs_rate_sweep(n, p, fault, rates=rates).series
+            assert swept["proxy_raw"].tobytes() == proxy.tobytes()
+
+
 @pytest.mark.parametrize("args, kwargs, error", [
     ((25, 0.5, 1e-3, [0]), {}, ResourceLimitError),
     ((-1, 0.5, 1e-3, [0]), {}, ValueError),

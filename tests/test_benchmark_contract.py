@@ -31,6 +31,10 @@ def test_traced_workload_measures_every_layer(workload, tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["exit_codes"] and set(report["exit_codes"]) == {0}, proc.stderr[-4000:]
     assert report["trace"]["unmeasured"] == []
+    if workload == "design":
+        # construct, staircase and fer-rate each call evolve_all once, the
+        # sweeps through analysis.evolve_all, whatever order they ask for
+        assert report["trace"]["counts"]["construction.evolve_all_calls"] == 3
 
 
 @pytest.fixture

@@ -495,6 +495,47 @@ def test_csv_text_is_held_one_block_at_a_time(tmp_path):
     assert construct <= (8 + 4 + 1) * size + 8 * (size // 2) + block
 
 
+def _parse_output(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); 0 if it returns."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+COMMAND_LINES = [
+    CONSTRUCT, SIMULATE, ["sweep", "staircase", "--n", "4"],
+    ["sweep", "fer-rate", "--n", "5", "--nu", "2"],
+    ["sweep", "rate-loss", "--deltas", "1e-3", "--nu", "1..3"],
+    ["sweep", "protection", "--n", "5", "--delta", "1e-3", "--np", "0..2"],
+]
+
+
+@pytest.mark.parametrize("args", COMMAND_LINES)
+def test_each_command_parses_as_with_the_full_parser(args, tmp_path, capsys,
+                                                     monkeypatch):
+    # main builds the arguments of the command argv names alone; its help,
+    # usage errors and manifest must be those of the full parser
+    words = args[:2] if args[0] == "sweep" else args[:1]
+    for argv in ([*words, "--help"], [*words, "--bogus"], [*args, "--np", "1"],
+                 words[:1] + ["--help"], ["--help"], ["nonesuch"]):
+        assert (_parse_output(cli.build_parser(argv), argv, capsys)
+                == _parse_output(cli.build_parser(), argv, capsys)), argv
+    # the other commands are listed but get no arguments
+    for other in COMMAND_LINES:
+        if other != args:
+            assert _parse_output(cli.build_parser(args), other, capsys)[0] == 2
+    assert main([*args, "--manifest-only"]) == 0
+    manifest = capsys.readouterr().out
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert main([*args, "--manifest-only"]) == 0
+    assert capsys.readouterr().out == manifest
+
+
 @pytest.mark.parametrize("args", [
     ["--p", "nan", "--deltas", "0.1", "--nu", ","],
     ["--p", "0.5", "--deltas", "7", "--nu", ","],

@@ -1,6 +1,7 @@
 """Density evolution against independent oracles, set design, protection math."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,12 +160,16 @@ def test_evolve_all_equals_evolve_path_bitwise_at_the_edges(p, delta, n_u):
         assert evolve_all(n, p, fault).tobytes() == np.array(paths).tobytes()
 
 
-def _reference_levels(z, steps, delta, faulty_steps):
-    """The levels of _levels, each grown into a fresh array."""
+def _reference_levels(z, steps, delta, faulty_steps, ordered=True):
+    """The levels of _levels, each grown into a fresh array: children
+    interleaved (ordered) or as [minus | plus] halves."""
     yield z
     for j in range(steps):
         nxt = np.empty(2 * z.size, dtype=np.float64)
-        minus, plus = nxt[0::2], nxt[1::2]
+        if ordered:
+            minus, plus = nxt[0::2], nxt[1::2]
+        else:
+            minus, plus = nxt[:z.size], nxt[z.size:]
         np.multiply(z, z, out=plus)
         np.multiply(z, 2, out=minus)
         np.subtract(minus, plus, out=minus)
@@ -183,19 +188,43 @@ START_LEVELS = {
 }
 
 
+@pytest.mark.parametrize("ordered", [True, False])
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
 @pytest.mark.parametrize("start", sorted(START_LEVELS))
-def test_levels_in_place_equal_fresh_levels_bitwise(start, delta):
+def test_levels_in_place_equal_fresh_levels_bitwise(start, delta, ordered):
     # up to 14 steps, so the widest steps span several scratch blocks
     z0 = START_LEVELS[start]
     for steps in range(15):
         for faulty_steps in range(steps + 1):
             buf = np.full(start << steps, np.nan)  # a cell read before written shows
             buf[:start] = z0
-            levels = zip(_levels(buf, steps, delta, faulty_steps),
-                         _reference_levels(z0, steps, delta, faulty_steps), strict=True)
+            levels = zip(_levels(buf, steps, delta, faulty_steps, ordered),
+                         _reference_levels(z0, steps, delta, faulty_steps, ordered),
+                         strict=True)
             for j, (level, ref) in enumerate(levels):
                 assert level.tobytes() == ref.tobytes(), (steps, faulty_steps, j)
+
+
+def _bit_reversal(n):
+    """Index i of the result is i with its n bits reversed."""
+    rev = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        rev |= ((np.arange(2**n) >> bit) & 1) << (n - 1 - bit)
+    return rev
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
+def test_order_free_evolve_all_sorts_to_natural_order(p, delta):
+    # the sweeps that sort take the order-free layout; sorted, it must give
+    # natural order's bits, and it is natural order bit-reversed
+    for n in range(13):
+        for n_u in dict.fromkeys([None, 0, 1, n // 2]):
+            fault = FaultSpec(delta=delta, unprotected_steps=n_u)
+            natural = evolve_all(n, p, fault)
+            free = evolve_all(n, p, fault, ordered=False)
+            assert np.sort(free).tobytes() == np.sort(natural).tobytes(), (n, n_u)
+            assert free.tobytes() == natural[_bit_reversal(n)].tobytes(), (n, n_u)
 
 
 @pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
@@ -360,15 +389,55 @@ def _design_code_frozensets(reliabilities, k):
 
 def test_design_code_equals_the_frozenset_reference():
     rng = np.random.default_rng(11)
-    for _ in range(200):
+    for case in range(400):
         size = 2 ** int(rng.integers(1, 9))
-        # few distinct values, so most vectors are full of ties
+        # few distinct values, so most vectors are full of ties; -0.0 and
+        # 0.0 tie as well
         z = rng.integers(0, int(rng.integers(1, 6)), size) / 4.0
+        if case % 2:
+            z[rng.random(size) < 0.5] *= -1.0
         k = int(rng.integers(1, size))
         info, frozen = design_code(z, k)
         ref_info, ref_frozen = _design_code_frozensets(z, k)
         assert info.tolist() == sorted(ref_info)
         assert np.flatnonzero(frozen).tolist() == [i - 1 for i in sorted(ref_frozen)]
+
+
+def test_design_code_refuses_nan_among_the_k_best():
+    # a NaN sorts last, so it is refused only where the set would take it
+    z = np.array([0.5, np.nan, 0.25, 0.75])
+    assert design_code(z, 3)[0].tolist() == [1, 3, 4]
+    with pytest.raises(ValueError, match="NaN"):
+        design_code(np.array([np.nan, np.nan, 0.25, 0.75]), 3)
+
+
+# numpy reports its buffers to tracemalloc; small objects and the index
+# scratch of a partition stay below this
+_SLACK = 64 * 1024
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_construct_code_peak(n):
+    # the 8-byte reliabilities, plus either np.partition's copy of them or
+    # the bool mask, its complement and the int64 information indices; a
+    # stable argsort peaked 6 bytes per position higher at k = N/2
+    size = 2**n
+    fault = FaultSpec(delta=1e-6)
+    for k in (1, size // 2, size - 1):
+        peak = _traced_peak(construct_code, n, 0.5, fault, k)
+        assert peak <= 8 * size + max(8 * size, 2 * size + 8 * k) + _SLACK, k
+    # at p = 1 every value ties, and the tie positions take 8 bytes each
+    peak = _traced_peak(construct_code, n, 1.0, fault, size // 2)
+    assert peak <= 18 * size + _SLACK
 
 
 def test_code_construction_arrays_are_read_only():

@@ -494,6 +494,42 @@ def test_default_chunks_pay_the_chunk_term_once():
     assert _chunk_trials(14, fault_slot_count(14, shared, "shared"), True) == 1304
 
 
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_default_chunks_share_the_budget_between_threads(threads):
+    # the chunks that `threads` workers hold at once fit _CHUNK_BYTES together
+    shared = FaultSpec(delta=1e-3, correlation_mode="shared")
+    for n in (8, 10, 12, 14):
+        slots = fault_slot_count(n, shared, "shared")
+        for genie in (False, True):
+            trials = _chunk_trials(n, slots, genie, threads)
+            assert trials <= _chunk_trials(n, slots, genie)
+            held = threads * _trial_bytes(n, slots, trials, genie)
+            assert held <= montecarlo._CHUNK_BYTES, (n, genie)
+
+
+def test_two_threads_peak_within_the_chunk_budget(monkeypatch):
+    # tracemalloc traces every thread; one thread's default chunk alone
+    # takes most of _CHUNK_BYTES, so two of them would exceed the bound.
+    # A smaller budget keeps the run short.
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 2**20)
+    fixed_scratch = 4 * 2**16
+    n = 10
+    config = _config(n=n, k=410, p=0.3, delta=1e-3, trials=1, mode="shared")
+    slots = fault_slot_count(n, config.fault, "shared")
+    trials = 4 * _chunk_trials(n, slots, False, 2)
+    config = replace(config, trials=trials)
+    assert _trial_bytes(n, slots, _chunk_trials(n, slots, False)) > montecarlo._CHUNK_BYTES / 2
+    # the pool's first use imports and caches outside the measurement
+    run_simulation(replace(config, trials=16), threads=2, chunk_size=8)
+    tracemalloc.start()
+    try:
+        run_simulation(config, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= montecarlo._CHUNK_BYTES + 2 * fixed_scratch
+
+
 def test_genie_trial_bytes_admit_the_same_sizes():
     # genie runs count fewer planes, and they are admitted to the same n:
     # independent-tree to n = 13, shared to n = 22 (144 MiB)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (
-    DEFAULT_ENUMERATION_CAP,
     CodeConstruction,
     _code_dimension,
     _levels,
+    _rate_losses,
     _root,
     evolve_all,
     pe_counts,
@@ -168,11 +168,12 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
     """Rate loss against the unprotected transition count, one series per delta.
 
     Emits the raw loss and the percentage-of-capacity view used alongside
-    capacity C = 1 - p. Each value equals rate_loss(p, delta, n_u) bit for
-    bit. For n_u up to DEFAULT_ENUMERATION_CAP the mean E[eps_{n_u}] is
-    level n_u of one all-faulty recursion per delta, averaged on the way;
-    that recursion stops at the largest such n_u. Larger n_u take the
-    closed form, as rate_loss does.
+    capacity C = 1 - p. Each series is construction._rate_losses over the
+    whole n_u list, the definition rate_loss evaluates for one n_u, so each
+    value equals rate_loss(p, delta, n_u) bit for bit: for n_u up to
+    DEFAULT_ENUMERATION_CAP the mean E[eps_{n_u}] is level n_u of one
+    all-faulty recursion per delta, averaged on the way, and larger n_u
+    take the closed form.
 
     A repeated delta is evolved once and gives one series. Two different
     deltas that print the same under :g would share one series name, so
@@ -191,29 +192,18 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
         _require_unit_interval(delta, "delta")
     if n_u_arr.min(initial=0) < 0:
         raise ValueError(f"n_u must be nonnegative, got {n_u_arr.min()}")
-    enumerated = n_u_arr[n_u_arr <= DEFAULT_ENUMERATION_CAP]
-    steps = int(enumerated.max(initial=0))
-    buf = _root(steps, p)
-    root = buf[0]
+    n_u_list = n_u_arr.tolist()
     series: dict[str, np.ndarray] = {}
     for delta in dict.fromkeys(deltas):
         label = f"{delta:g}"
         if f"delta_r_{label}" in series:
             raise ValueError(f"two different deltas print as {label}")
-        losses = np.empty(n_u_arr.size, dtype=np.float64)
-        buf[0] = root
-        means = [float(np.mean(z)) for z in _levels(buf, steps, delta, steps)]
-        for idx, nu in enumerate(n_u_arr.tolist()):
-            if nu <= DEFAULT_ENUMERATION_CAP:
-                # rate_loss's clamp of the delta = 0 rounding residue
-                losses[idx] = max(means[nu] - p, 0.0)
-            else:  # rate_loss's closed form; the inputs were checked above
-                losses[idx] = max(1.0 - (1.0 - p) * (1.0 - delta) ** nu - p, 0.0)
+        losses = np.array(_rate_losses(p, delta, n_u_list), dtype=np.float64)
         series[f"delta_r_{label}"] = losses
         series[f"pct_capacity_{label}"] = 100.0 * losses / capacity
     return SweepResult(
         axis=n_u_arr,
         series=series,
         metadata={"p": p, "deltas": tuple(float(d) for d in deltas),
-                  "n_u_values": tuple(int(v) for v in n_u_arr)},
+                  "n_u_values": tuple(n_u_list)},
     )

@@ -65,12 +65,13 @@ def _as_bit_array(values, name):
     return arr.astype(np.int8, copy=False)
 
 
-def encode(u, n: int | None = None) -> np.ndarray:
+def encode(u) -> np.ndarray:
     """Apply the polar transform to u over GF(2).
 
-    The n-stage butterfly runs in natural (non-bit-reversed) order, pairing
-    adjacent blocks first, so that channel index 1 carries the all-check
-    decoding tree. The transform is an involution: encode(encode(u)) == u.
+    The last axis of u has length N = 2**n (else ValueError). The n-stage
+    butterfly runs in natural (non-bit-reversed) order, pairing adjacent
+    blocks first, so that channel index 1 carries the all-check decoding
+    tree. The transform is an involution: encode(encode(u)) == u.
 
     Accepts a batch: the transform applies along the last axis. The words
     are packed once into bit planes (see _pack_frames), the butterfly runs
@@ -81,8 +82,6 @@ def encode(u, n: int | None = None) -> np.ndarray:
     length = arr.shape[-1]
     if length == 0 or length & (length - 1):
         raise ValueError(f"length must be a power of two, got {length}")
-    if n is not None and n != length.bit_length() - 1:
-        raise ValueError(f"length {length} does not match exponent n={n}")
     frames = arr.reshape(-1, length)
     planes = _pack_frames(frames)
     _polar_transform(planes)

@@ -33,10 +33,10 @@ from .errors import ResourceLimitError
 # while it writes.
 DEFAULT_MAX_EXPONENT = 24
 
-# Largest step count (2**20 paths) whose mean expected_epsilon and
-# analysis.rate_loss_sweep take by enumeration; above it both evaluate the
-# closed form. rate_loss_sweep runs one recursion per delta up to
-# min(largest n_u, this cap) and averages each level on the way.
+# Largest step count (2**20 paths) whose mean _mean_erasures takes by
+# enumeration, for expected_epsilon, rate_loss and analysis.rate_loss_sweep;
+# above it, the closed form. Each call runs one recursion up to the largest
+# step count within this cap and averages each level on the way.
 DEFAULT_ENUMERATION_CAP = 20
 
 
@@ -167,11 +167,11 @@ def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int,
 
     ordered picks _grow's layout. Natural order is for callers that index
     the values or average them: evolve_all by default (construct and
-    simulate index its result), expected_epsilon and
-    analysis.rate_loss_sweep, whose np.mean sums pairwise, so a permuted
-    level could change a mean in its last bits. Callers that sort pass
-    ordered=False: analysis.protection_sweep for its trunk and branches,
-    and fer_vs_rate_sweep and staircase through evolve_all.
+    simulate index its result) and _mean_erasures (expected_epsilon,
+    rate_loss and analysis.rate_loss_sweep), whose np.mean sums pairwise,
+    so a permuted level could change a mean in its last bits. Callers that
+    sort pass ordered=False: analysis.protection_sweep for its trunk and
+    branches, and fer_vs_rate_sweep and staircase through evolve_all.
     """
     size = buf.size >> steps
     yield buf[:size]
@@ -219,13 +219,12 @@ def _code_dimension(rate, size: int) -> int:
     return round(rate * size)
 
 
-def design_code(reliabilities, k: int) -> tuple[np.ndarray, np.ndarray]:
+def design_code(reliabilities, k: int) -> np.ndarray:
     """Choose the k most reliable channels as the information set.
 
-    Returns (info_indices, frozen_mask): the 1-based information indices in
-    ascending order, as int64, and a bool mask over 0-based positions, True
-    where frozen. Ties between equal reliability values break toward the
-    smaller index.
+    Returns the frozen mask, a bool array over 0-based positions that is
+    True where frozen. Ties between equal reliability values break toward
+    the smaller index.
 
     The set is that of a stable argsort's first k: every value below the
     k-th smallest (np.partition) and the lowest-index ties of that value.
@@ -242,54 +241,57 @@ def design_code(reliabilities, k: int) -> tuple[np.ndarray, np.ndarray]:
     ties = np.flatnonzero(z == kth)
     info[ties[:k - np.count_nonzero(info)]] = True
     del ties  # up to 8 bytes per position when every value ties
-    indices = np.flatnonzero(info).astype(np.int64, copy=False)
-    indices += 1
-    return indices, np.logical_not(info, out=info)
+    return np.logical_not(info, out=info)
 
 
-def expected_epsilon(p: float, delta: float, steps: int, method: str = "auto") -> float:
-    """Mean erasure probability after `steps` all-faulty transitions.
-
-    The uniform average over all 2**steps transform sequences equals the
-    closed form 1 - (1 - p)*(1 - delta)**steps because the per-step mean is
-    affine in eps.
-
-    method "enumerate" averages over all paths, the last level of the
-    all-faulty recursion evolve_all runs, and raises ResourceLimitError
-    above DEFAULT_ENUMERATION_CAP steps; "closed-form" evaluates the
-    formula; "auto" enumerates up to that cap and otherwise falls back to
-    the closed form (exact, not an approximation, though the last digits
-    differ). analysis.rate_loss_sweep reads the same means off one
-    recursion per delta.
-    """
+def _checked(p, delta, steps: int) -> tuple[float, float, list[int]]:
+    """(p as a float, delta, [steps]) once p, delta and steps pass the checks."""
     p = _channel_erasure(p)
     _require_unit_interval(delta, "delta")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if method not in ("auto", "enumerate", "closed-form"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "enumerate" if steps <= DEFAULT_ENUMERATION_CAP else "closed-form"
-    if method == "closed-form":
-        return float(1.0 - (1.0 - p) * (1.0 - delta) ** steps)
-    if steps > DEFAULT_ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"enumeration over 2**{steps} paths exceeds the cap 2**{DEFAULT_ENUMERATION_CAP}"
-        )
-    buf = _root(steps, p)
-    for _ in _levels(buf, steps, delta, steps):
-        pass
-    return float(np.mean(buf))
+    return p, delta, [steps]
 
 
-def rate_loss(p: float, delta: float, n_u: int, method: str = "auto") -> float:
+def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:
+    """E[eps_s] after s all-faulty transitions, for each s in steps, unchecked.
+
+    Up to DEFAULT_ENUMERATION_CAP the mean is over all 2**s paths: level s
+    of one all-faulty recursion that stops at the largest such s, averaged
+    on the way (in natural order, since np.mean sums pairwise). Above the
+    cap it is the closed form 1 - (1 - p)*(1 - delta)**s, exact because
+    the per-step mean is affine in eps, though its last digits differ.
+    """
+    top = max((s for s in steps if s <= DEFAULT_ENUMERATION_CAP), default=0)
+    buf = _root(top, p)
+    means = [float(np.mean(z)) for z in _levels(buf, top, delta, top)]
+    return [means[s] if s <= DEFAULT_ENUMERATION_CAP
+            else 1.0 - (1.0 - p) * (1.0 - delta) ** s for s in steps]
+
+
+def _rate_losses(p: float, delta: float, n_u_values: list[int]) -> list[float]:
+    """E[eps_{n_u}] - p for each n_u, unchecked, clamped at 0 (enumeration
+    can leave a negative rounding residue at delta = 0)."""
+    return [max(mean - p, 0.0) for mean in _mean_erasures(p, delta, n_u_values)]
+
+
+def expected_epsilon(p: float, delta: float, steps: int) -> float:
+    """Mean erasure probability after `steps` all-faulty transitions.
+
+    The uniform average over all 2**steps transform sequences, as
+    _mean_erasures takes it: enumerated up to DEFAULT_ENUMERATION_CAP
+    steps, and above it the closed form 1 - (1 - p)*(1 - delta)**steps.
+    """
+    return float(_mean_erasures(*_checked(p, delta, steps))[0])
+
+
+def rate_loss(p: float, delta: float, n_u: int) -> float:
     """Capacity lost to n_u unprotected transitions: E[eps_{n_u}] - p.
 
-    Nonnegative; a percentage-of-capacity view is rate_loss/(1 - p)*100.
+    E[eps_{n_u}] is expected_epsilon(p, delta, n_u). Nonnegative; a
+    percentage-of-capacity view is rate_loss/(1 - p)*100.
     """
-    value = expected_epsilon(p, delta, n_u, method=method) - p
-    # Enumeration can leave a negative rounding residue at delta = 0.
-    return max(value, 0.0)
+    return _rate_losses(*_checked(p, delta, n_u))[0]
 
 
 class PECounts(NamedTuple):
@@ -381,9 +383,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def construct_code(n: int, p: float, fault: FaultSpec, k: int) -> CodeConstruction:
     """Run density evolution and freeze all but the k best channels.
 
-    Raises as evolve_all (n above DEFAULT_MAX_EXPONENT) and design_code do.
+    design_code picks the frozen mask, and CodeConstruction derives the
+    information indices from it. Raises as evolve_all (n above
+    DEFAULT_MAX_EXPONENT) and design_code do.
     """
     z = evolve_all(n, p, fault)
-    frozen = design_code(z, k)[1]  # CodeConstruction derives the indices
+    frozen = design_code(z, k)
     return CodeConstruction(n=n, channel_erasure=p, fault=fault,
                             reliabilities=z, frozen_mask=frozen)

@@ -29,6 +29,7 @@ they allocate (_trial_bytes), and pay their per-chunk term once.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,7 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
 
 
 def _chunk_trials(n: int, slots: int, genie: bool, threads: int = 1) -> int:
-    """Default trials per chunk: the groups of eight that fit in a 1/threads
+    """Trials per chunk: the groups of eight that fit in a 1/threads
     share of _CHUNK_BYTES once the per-chunk term is paid, so the chunks
     that `threads` workers hold at once fit _CHUNK_BYTES together."""
     fixed = _trial_bytes(n, slots, batch=0, genie=genie)
@@ -319,14 +320,20 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     return frame_erasures, info_bit_erasures, per_bit
 
 
-def run_simulation(config: SimConfig, threads: int = 1,
-                   chunk_size: int | None = None) -> SimOutcome:
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_simulation(config: SimConfig, threads: int = 1) -> SimOutcome:
     """Run the configured trials and aggregate erasure statistics.
 
-    The outcome is identical for any threads or chunk_size setting: trials
-    consume only their own substreams and the integer counts reduce in
-    trial order. Up to `threads` chunks run at once, and default chunks
-    are sized so that together they fit about _CHUNK_BYTES (64 MiB); a
+    The outcome is the same for any threads: trials consume only their
+    own substreams and the integer counts reduce in trial order. threads
+    is capped at the CPUs this process may use; that many chunks run at
+    once, sized by _chunk_trials to fit _CHUNK_BYTES (64 MiB) together. A
     chunk is at least one trial, which may exceed its share at large n.
     """
     code = config.code
@@ -345,9 +352,8 @@ def run_simulation(config: SimConfig, threads: int = 1,
         raise ResourceLimitError(
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
-    if chunk_size is None:
-        chunk_size = _chunk_trials(code.n, slots, config.genie, threads)
-    chunk_size = max(1, min(chunk_size, config.trials))
+    threads = min(threads, _cpu_count())
+    chunk_size = _chunk_trials(code.n, slots, config.genie, threads)
     bounds = [(s, min(s + chunk_size, config.trials))
               for s in range(0, config.trials, chunk_size)]
 

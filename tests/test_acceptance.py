@@ -126,10 +126,11 @@ def test_criterion_5_transfer_map_properties():
 
 
 def test_criterion_6_rate_loss():
-    target = 0.5 * (1 - 0.999**10)
-    by_enum = rate_loss(0.5, 1e-3, 10, method="enumerate")
-    by_closed = rate_loss(0.5, 1e-3, 10, method="closed-form")
-    ok = abs(by_enum - target) <= 1e-12 and abs(by_closed - target) <= 1e-12
+    # n_u = 10 is enumerated; n_u = 30, above the cap of 20, takes the closed form
+    by_enum = rate_loss(0.5, 1e-3, 10)
+    by_closed = rate_loss(0.5, 1e-3, 30)
+    ok = (abs(by_enum - 0.5 * (1 - 0.999**10)) <= 1e-12
+          and abs(by_closed - 0.5 * (1 - 0.999**30)) <= 1e-12)
     sweep = rate_loss_sweep(0.5, (1e-3, 1e-4, 1e-5), range(1, 11))
     for delta in (1e-3, 1e-4, 1e-5):
         ok &= bool(np.all(np.diff(sweep.series[f"delta_r_{delta:g}"]) > 0))

@@ -21,7 +21,7 @@ from faultypolar import (
     rate_loss_sweep,
     staircase,
 )
-from faultypolar import analysis
+from faultypolar import construction
 from faultypolar.analysis import _rate_points
 
 
@@ -211,14 +211,15 @@ def _assert_same_series(actual, expected):
 
 
 def test_rate_loss_sweep_evolves_a_repeated_delta_once(monkeypatch):
+    # the sweep's recursions run in construction._rate_losses
     recursions = []
-    levels = analysis._levels
+    levels = construction._levels
 
     def counting(z, steps, delta, faulty_steps):
         recursions.append(delta)
         return levels(z, steps, delta, faulty_steps)
 
-    monkeypatch.setattr(analysis, "_levels", counting)
+    monkeypatch.setattr(construction, "_levels", counting)
     result = rate_loss_sweep(0.5, (1e-3, 1e-4, 0.001), range(1, 6))
     assert recursions == [1e-3, 1e-4]
     assert sorted(result.series) == sorted(
@@ -247,15 +248,16 @@ def test_rate_loss_sweep_matches_per_point_rate_loss(p, n_u_values):
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
 def test_rate_loss_sweep_takes_the_closed_form_inline_above_the_cap(p, monkeypatch):
     # above the enumeration cap the sweep evaluates rate_loss's closed form
-    # itself, with the inputs checked once, and gets its bits
+    # over the whole n_u list, with the inputs checked once, and gets its
+    # bits
     deltas = (0.0, 1e-5, 0.5, 1.0)
     n_u_values = [*range(21, 2001), 10**6]
     expected = _rate_loss_reference(p, deltas, n_u_values)
 
     def per_point(*args, **kwargs):
         raise AssertionError("rate_loss called once per n_u")
-    monkeypatch.setattr(analysis, "rate_loss", per_point, raising=False)
-    monkeypatch.setattr(analysis, "expected_epsilon", per_point, raising=False)
+    monkeypatch.setattr(construction, "rate_loss", per_point)
+    monkeypatch.setattr(construction, "expected_epsilon", per_point)
     _assert_same_series(rate_loss_sweep(p, deltas, n_u_values).series, expected)
 
 

@@ -20,7 +20,7 @@ from faultypolar import (
     pe_counts,
     rate_loss,
 )
-from faultypolar.construction import _levels
+from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _levels
 
 
 def oracle_z(n, p, delta=0.0, n_u=None):
@@ -234,9 +234,9 @@ def test_channel_erasure_is_checked_at_entry(p):
         evolve_all(0, p, fault)
     with pytest.raises(ValueError):
         evolve_path((), p, fault)
-    for method in ("auto", "enumerate", "closed-form"):
+    for steps in (0, 30):  # enumerated, and the closed form above the cap
         with pytest.raises(ValueError):
-            expected_epsilon(p, 0.1, 0, method=method)
+            expected_epsilon(p, 0.1, steps)
     with pytest.raises(ValueError):
         rate_loss(p, 0.1, 0)
 
@@ -255,13 +255,16 @@ def test_evolve_all_resource_error():
         evolve_all(25, 0.5, FaultSpec())
 
 
+def _info(frozen):
+    """The 1-based information indices of a frozen mask."""
+    return (np.flatnonzero(~frozen) + 1).tolist()
+
+
 def test_design_code_examples():
-    info, frozen = design_code([0.9375, 0.5625, 0.4375, 0.0625], 2)
-    assert info.tolist() == [3, 4] and frozen.tolist() == [True, True, False, False]
-    info, frozen = design_code([0.75, 0.25], 1)
-    assert info.tolist() == [2]
-    info, _ = design_code([0.5, 0.5], 1)
-    assert info.tolist() == [1]  # tie toward the smaller index
+    frozen = design_code([0.9375, 0.5625, 0.4375, 0.0625], 2)
+    assert frozen.tolist() == [True, True, False, False]
+    assert _info(design_code([0.75, 0.25], 1)) == [2]
+    assert _info(design_code([0.5, 0.5], 1)) == [1]  # tie toward the smaller index
 
 
 def test_design_code_random_vectors():
@@ -269,11 +272,10 @@ def test_design_code_random_vectors():
     for _ in range(50):
         z = rng.random(64)
         k = int(rng.integers(1, 64))
-        info, frozen = design_code(z, k)
-        assert info.dtype == np.int64 and frozen.dtype == bool
-        assert info.size == k and frozen.sum() == 64 - k
-        assert not frozen[info - 1].any()
-        assert z[info - 1].max() <= z[frozen].min()
+        frozen = design_code(z, k)
+        assert frozen.dtype == bool and frozen.shape == (64,)
+        assert frozen.sum() == 64 - k
+        assert z[~frozen].max() <= z[frozen].min()
     with pytest.raises(ValueError):
         design_code(z, 0)
     with pytest.raises(ValueError):
@@ -292,9 +294,9 @@ def test_expected_epsilon_against_explicit_enumeration():
         return total / 2**steps
 
     for p, delta, steps in [(0.5, 0.0, 7), (0.5, 0.1, 1), (0.3, 0.02, 5), (0.5, 1e-3, 10)]:
-        val = expected_epsilon(p, delta, steps, method="enumerate")
+        val = expected_epsilon(p, delta, steps)  # enumerated: steps <= cap
         assert val == pytest.approx(enumerate_mean(p, delta, steps), abs=1e-12)
-        closed = expected_epsilon(p, delta, steps, method="closed-form")
+        closed = 1 - (1 - p) * (1 - delta) ** steps
         assert val == pytest.approx(closed, abs=1e-12)
 
 
@@ -306,15 +308,11 @@ def test_expected_epsilon_examples():
 
 
 def test_expected_epsilon_cap_behavior():
-    # auto falls back to the (exact) closed form above the cap
-    value = expected_epsilon(0.5, 1e-4, 30)
-    assert value == expected_epsilon(0.5, 1e-4, 30, method="closed-form")
-    with pytest.raises(ResourceLimitError):
-        expected_epsilon(0.5, 1e-4, 30, method="enumerate")
+    # above the cap the mean is the (exact) closed form, bit for bit
+    assert DEFAULT_ENUMERATION_CAP < 30
+    assert expected_epsilon(0.5, 1e-4, 30) == 1.0 - (1.0 - 0.5) * (1.0 - 1e-4) ** 30
     with pytest.raises(ValueError):
         expected_epsilon(0.5, 1e-4, -1)
-    with pytest.raises(ValueError):
-        expected_epsilon(0.5, 1e-4, 5, method="guess")
 
 
 def test_rate_loss_examples():
@@ -397,16 +395,16 @@ def test_design_code_equals_the_frozenset_reference():
         if case % 2:
             z[rng.random(size) < 0.5] *= -1.0
         k = int(rng.integers(1, size))
-        info, frozen = design_code(z, k)
+        frozen = design_code(z, k)
         ref_info, ref_frozen = _design_code_frozensets(z, k)
-        assert info.tolist() == sorted(ref_info)
+        assert _info(frozen) == sorted(ref_info)
         assert np.flatnonzero(frozen).tolist() == [i - 1 for i in sorted(ref_frozen)]
 
 
 def test_design_code_refuses_nan_among_the_k_best():
     # a NaN sorts last, so it is refused only where the set would take it
     z = np.array([0.5, np.nan, 0.25, 0.75])
-    assert design_code(z, 3)[0].tolist() == [1, 3, 4]
+    assert _info(design_code(z, 3)) == [1, 3, 4]
     with pytest.raises(ValueError, match="NaN"):
         design_code(np.array([np.nan, np.nan, 0.25, 0.75]), 3)
 
@@ -442,7 +440,7 @@ def test_construct_code_peak(n):
 
 def test_code_construction_arrays_are_read_only():
     z = evolve_all(3, 0.5, FaultSpec())
-    _, frozen = design_code(z, 4)
+    frozen = design_code(z, 4)
     code = CodeConstruction(n=3, channel_erasure=0.5, fault=FaultSpec(),
                             reliabilities=z, frozen_mask=frozen)
     for arr in (code.reliabilities, code.frozen_mask, code.info_indices):

@@ -20,6 +20,7 @@ from faultypolar import (
     sc_decode,
     transmit_bec,
 )
+from faultypolar import montecarlo
 from faultypolar.cli import main
 
 SIMULATE_GOLDENS = {
@@ -205,13 +206,14 @@ def test_sc_decode_single_frame_golden(mode):
     assert h.hexdigest() == digest
 
 
-def test_small_chunks_at_max_seed_golden():
+def test_small_chunks_at_max_seed_golden(monkeypatch):
     # many chunk boundaries and the largest master seed
+    monkeypatch.setattr(montecarlo, "_chunk_trials", lambda *args: 7)
     fault = FaultSpec(delta=0.03)
     code = construct_code(4, 0.4, fault, 6)
     config = SimConfig(code=code, channel_erasure=0.4, fault=fault, trials=300,
                        master_seed=2**64 - 1, genie=True)
-    outcome = run_simulation(config, chunk_size=7)
+    outcome = run_simulation(config)
     assert (outcome.frame_erasures, outcome.info_bit_erasures) == (140, 179)
     assert outcome.per_bit_erasures.tolist() == [
         300, 292, 287, 172, 269, 150, 125, 25, 254, 119, 100, 20, 78, 18, 28, 10]

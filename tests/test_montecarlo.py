@@ -54,6 +54,11 @@ def _config(n=6, k=16, p=0.5, delta=0.0, trials=200, seed=0, mode=None, genie=Fa
                      master_seed=seed, genie=genie)
 
 
+def _fix_chunks(monkeypatch, trials):
+    """Make run_simulation cut its trials into chunks of `trials`."""
+    monkeypatch.setattr(montecarlo, "_chunk_trials", lambda *args: trials)
+
+
 def test_noiseless_simulation_is_clean():
     outcome = run_simulation(_config(p=0.0, delta=0.0, trials=100))
     assert outcome.fer == 0.0 and outcome.ber == 0.0
@@ -66,11 +71,13 @@ def test_fully_faulty_simulation_always_fails():
     assert outcome.ber == 1.0
 
 
-def test_determinism_across_chunking_and_threads():
+def test_determinism_across_chunking_and_threads(monkeypatch):
     config = _config(p=0.5, delta=1e-2, trials=1500, seed=77, genie=True)
     base = run_simulation(config)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)  # on any host
     for threads, chunk in [(1, 37), (2, 250), (4, 1500), (3, 499)]:
-        other = run_simulation(config, threads=threads, chunk_size=chunk)
+        _fix_chunks(monkeypatch, chunk)
+        other = run_simulation(config, threads=threads)
         assert other.frame_erasures == base.frame_erasures
         assert other.info_bit_erasures == base.info_bit_erasures
         assert np.array_equal(other.per_bit_erasures, base.per_bit_erasures)
@@ -284,12 +291,13 @@ def test_source_bits_equal_bounded_integers(master_seed, k):
 @pytest.mark.parametrize("genie", [False, True])
 @pytest.mark.parametrize("p, delta, mode", [(1.0, 0.0, "shared"),
                                             (0.2, 1.0, "independent_tree")])
-def test_certain_erasures_erase_every_bit(p, delta, mode, genie):
+def test_certain_erasures_erase_every_bit(monkeypatch, p, delta, mode, genie):
     # p = 1 erases every channel symbol and delta = 1 hits every fault
     # slot; neither threshold fits a raw word, so no word is drawn for it
     config = _config(n=5, k=12, p=p, delta=delta, trials=40, seed=6, mode=mode,
                      genie=genie)
-    outcome = run_simulation(config, chunk_size=16)
+    _fix_chunks(monkeypatch, 16)
+    outcome = run_simulation(config)
     assert outcome.frame_erasures == 40
     assert outcome.info_bit_erasures == 40 * 12
     assert outcome.fer == 1.0 and outcome.ber == 1.0
@@ -369,7 +377,8 @@ def test_outcome_independent_of_draw_block(monkeypatch):
                      mode="independent_tree", genie=True)
     base = run_simulation(config)
     monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 5)
-    small = run_simulation(config, chunk_size=17)
+    _fix_chunks(monkeypatch, 17)
+    small = run_simulation(config)
     assert small.frame_erasures == base.frame_erasures
     assert small.info_bit_erasures == base.info_bit_erasures
     assert np.array_equal(small.per_bit_erasures, base.per_bit_erasures)
@@ -512,6 +521,7 @@ def test_two_threads_peak_within_the_chunk_budget(monkeypatch):
     # takes most of _CHUNK_BYTES, so two of them would exceed the bound.
     # A smaller budget keeps the run short.
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 2**20)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)  # on any host
     fixed_scratch = 4 * 2**16
     n = 10
     config = _config(n=n, k=410, p=0.3, delta=1e-3, trials=1, mode="shared")
@@ -520,7 +530,9 @@ def test_two_threads_peak_within_the_chunk_budget(monkeypatch):
     config = replace(config, trials=trials)
     assert _trial_bytes(n, slots, _chunk_trials(n, slots, False)) > montecarlo._CHUNK_BYTES / 2
     # the pool's first use imports and caches outside the measurement
-    run_simulation(replace(config, trials=16), threads=2, chunk_size=8)
+    with monkeypatch.context() as patch:
+        _fix_chunks(patch, 8)
+        run_simulation(replace(config, trials=16), threads=2)
     tracemalloc.start()
     try:
         run_simulation(config, threads=2)
@@ -624,7 +636,9 @@ def test_genie_run_draws_no_source_word(monkeypatch, mode):
 
     monkeypatch.setattr(montecarlo, "substream", recording)
     config = _config(p=0.4, delta=0.02, trials=30, mode=mode, genie=True)
-    run_simulation(config, chunk_size=7)
+    with monkeypatch.context() as patch:
+        _fix_chunks(patch, 7)
+        run_simulation(config)
     assert roles and ROLE_SOURCE not in roles
     assert set(roles) == {ROLE_CHANNEL, ROLE_FAULTS}
     roles.clear()
@@ -654,11 +668,67 @@ def test_thread_pool_capped_at_chunk_count(monkeypatch):
 
     # run_simulation imports the pool class only when it needs threads
     monkeypatch.setattr(futures, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # on any host
     config = _config(p=0.5, delta=1e-2, trials=100, seed=4)
     base = run_simulation(config)
-    assert run_simulation(config, threads=8, chunk_size=50) == base
+    with monkeypatch.context() as patch:
+        _fix_chunks(patch, 50)
+        assert run_simulation(config, threads=8) == base
     assert run_simulation(config, threads=4) == base  # one chunk: no pool
     assert workers == [2]
+
+
+def test_threads_capped_at_the_cores(monkeypatch):
+    # uncapped, 5000 threads would cut chunks of one trial and ask the pool
+    # for a worker per chunk; the recorder runs the chunks in order on
+    # this thread, so no real thread starts
+    workers = []
+    chunks = []
+
+    class InOrderPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    run_chunk = montecarlo._run_chunk
+
+    def recording_chunk(config, start, stop, slots):
+        chunks.append((start, stop))
+        return run_chunk(config, start, stop, slots)
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2**20)  # small chunks at n = 10
+    n = 10
+    config = _config(n=n, k=410, p=0.3, delta=1e-3, trials=400, seed=2, mode="shared")
+    slots = fault_slot_count(n, config.fault, "shared")
+    assert _chunk_trials(n, slots, False, 5000) == 1
+    two = _chunk_trials(n, slots, False, 2)
+    assert two < _chunk_trials(n, slots, False) < config.trials
+    base = run_simulation(config)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", InOrderPool)
+    monkeypatch.setattr(montecarlo, "_run_chunk", recording_chunk)
+    assert run_simulation(config, threads=5000) == base
+    assert workers and max(workers) <= 2
+    assert chunks == [(s, min(s + two, config.trials))
+                      for s in range(0, config.trials, two)]
+
+
+def test_cpu_count_reads_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert montecarlo._cpu_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert montecarlo._cpu_count() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert montecarlo._cpu_count() == 1
 
 
 @pytest.mark.parametrize("master_seed", [0, 9, 2**64 - 1])

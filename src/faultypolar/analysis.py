@@ -19,7 +19,7 @@ from .construction import (
     evolve_all,
     pe_counts,
 )
-from .core import FaultSpec, _require_unit_interval
+from .core import FaultSpec, _require_integer, _require_unit_interval
 
 DEFAULT_RATE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
@@ -48,8 +48,7 @@ def fer_proxy(code: CodeConstruction) -> float:
     The raw sum can exceed 1 at high rates; clamp with min(value, 1) for
     plotting.
     """
-    info0 = code.info_indices - 1
-    return float(code.reliabilities[info0].sum())
+    return float(code.reliabilities[~code.frozen_mask].sum())
 
 
 def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,7 +180,7 @@ def rate_loss_sweep(p: float, deltas, n_u_values) -> SweepResult:
     n_u are checked on entry, so an empty n_u list checks them too.
     """
     deltas = tuple(deltas)
-    n_u_arr = np.asarray(list(n_u_values), dtype=np.int64)
+    n_u_arr = np.asarray([_require_integer(v, "n_u") for v in n_u_values], dtype=np.int64)
     capacity = 1.0 - p
     if capacity <= 0.0:
         raise ValueError("p must be below 1 so the capacity view is defined")

@@ -259,8 +259,9 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     Level L keeps the 2**L partial sums a level-L g node reads: the
     polar transform of the fed-back decisions of the last left block of
     width 2**L. When bit i ends the blocks of levels 0..t, the level-t one
-    is such a left block; its transform is built in place from bit i up,
-    [u_left ^ x, x] at each level, and an all-frozen tail of it is zeroed.
+    is such a left block; bit i writes its last row, S & ~E for an
+    information bit and 0 for a frozen one, and the transform is built in
+    place from it up, [u_left ^ x, x] at each level below t.
 
     The genie feeds the true bits forward, with frozen bits as 0, so every
     message that is not erased is correct: two known inputs of a g node
@@ -290,12 +291,11 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     def planes(rows):
         return np.empty((rows, nbytes), dtype=np.uint8)
 
-    info = ~frozen_mask
     if signs:
         sums = [planes(1 << level) for level in range(n)]
         scratch = planes(size // 2)
-    if signs or info_only:
-        has_info = _block_any(info, n)
+    if info_only:
+        has_info = _block_any(~frozen_mask, n)
     msgs = [tuple(planes(1 << level if level else size) for _ in channel)
             for level in range(n)] + [channel]
     decision = msgs[0]
@@ -334,7 +334,8 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     for i0 in range(size):
         top = n - 1 if recompute_all or i0 == 0 else (i0 & -i0).bit_length() - 1
         for level in range(top, -1, -1):
-            if not info_only or (info[i0] if recompute_all else has_info[level][i0 >> level]):
+            if not info_only or (has_info[0][i0] if recompute_all
+                                 else has_info[level][i0 >> level]):
                 node(level, i0, base + (2 << top) - (2 << level))
         if top >= lo:
             base += (2 << top) - (1 << lo)
@@ -344,18 +345,14 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             continue
         t = end.bit_length() - 1
         acc = sums[t]  # the level-t block is a left one: build its sums
-        low = 0  # the lowest level whose block ending at i0 holds information
-        while low <= t and not has_info[low][i0 >> low]:
-            low += 1
-        if low:  # the blocks below it are all frozen, and their sums are 0
-            acc[end - (1 << (low - 1)):] = 0
-            low -= 1
+        row = acc[end - 1]
+        if frozen_mask[i0]:
+            row.fill(0)
         else:
             # continuation convention: an erased decision feeds 0 forward
-            row = acc[end - 1]
             np.bitwise_and(decision[1][i0], decision[0][i0], out=row)
             np.bitwise_xor(row, decision[1][i0], out=row)
-        for level in range(low, t):  # acc[x:] holds the level's block sums
+        for level in range(t):  # acc[x:] holds the level's block sums
             x = end - (1 << level)
             np.bitwise_xor(sums[level], acc[x:], out=acc[x - (1 << level):x])
 
@@ -374,7 +371,7 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
     y : array-like
         N channel messages in {-1, 0, +1}.
     code : CodeConstruction
-        Supplies the frozen/information split (frozen values are all zero).
+        Supplies the frozen mask; frozen bits are sent and fed forward as 0.
     fault : FaultSpec
         Decode-time fault model; need not match the one the code was
         designed for. Its correlation_mode, "shared" or
@@ -417,11 +414,11 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
     erased_full = _unpack_frames(planes[0], 1)[0].view(bool)
     # every known genie decision is the sent bit; otherwise it reads S & ~E
     bits = sent if genie else _unpack_frames(planes[1], 1)[0].view(np.int8)
-    info0 = code.info_indices - 1
-    erased_info = erased_full[info0]
-    u_hat = np.where(erased_info, np.int8(ERASED_BIT), bits[info0])
+    info = ~code.frozen_mask
+    erased_info = erased_full[info]
+    u_hat = np.where(erased_info, np.int8(ERASED_BIT), bits[info])
     frame_erased = bool(erased_info.any())
-    first = int(code.info_indices[int(np.argmax(erased_info))]) if frame_erased else None
+    first = int(np.argmax(erased_full & info)) + 1 if frame_erased else None
     return DecodeResult(u_hat=u_hat, frame_erased=frame_erased,
                         first_erasure_index=first,
                         decision_erased=erased_full)

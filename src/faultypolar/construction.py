@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     FaultSpec,
+    _require_integer,
     _require_unit_interval,
     t_minus,
     t_minus_faulty,
@@ -29,8 +30,7 @@ from .errors import ResourceLimitError
 # Largest exponent density evolution accepts. It grows every level inside
 # one buffer of N = 2**n doubles, 128 MiB at n = 24, in natural or
 # order-free layout (see _grow); sweep protection holds 1.5 such buffers,
-# and construct 2 while np.partition copies one and 2.125 at rate 1/2
-# while it writes.
+# and construct 2 while np.partition copies one, 1.625 while it writes.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean _mean_erasures takes by
@@ -248,7 +248,7 @@ def _checked(p, delta, steps: int) -> tuple[float, float, list[int]]:
     """(p as a float, delta, [steps]) once p, delta and steps pass the checks."""
     p = _channel_erasure(p)
     _require_unit_interval(delta, "delta")
-    if steps < 0:
+    if _require_integer(steps, "steps") < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     return p, delta, [steps]
 
@@ -307,9 +307,9 @@ def pe_counts(n: int, n_p: int) -> PECounts:
     starting from the root hardens 2**n_p - 1 of them. With
     n_p = (n + 1) - n_u the protected fraction tends to 2**-n_u as n grows.
     """
-    if n < 0:
+    if _require_integer(n, "n") < 0:
         raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if not 0 <= n_p <= n + 1:
+    if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
         raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
     total = 2 ** (n + 1) - 1
     protected = 2**n_p - 1 if n_p > 0 else 0
@@ -318,50 +318,46 @@ def pe_counts(n: int, n_p: int) -> PECounts:
 
 @dataclass(frozen=True)
 class CodeConstruction:
-    """A designed polar code: reliabilities plus the frozen/information split.
+    """A designed polar code: its reliabilities and its frozen mask.
 
     reliabilities[i-1] is Z_i, and frozen_mask[i-1] is True where channel i
-    is frozen. Both are stored as read-only arrays; info_indices, the
-    1-based information indices in ascending order, is derived from the
-    mask once. Every information channel is at least as reliable as every
-    frozen one.
+    is frozen. Both are stored as read-only arrays of a power-of-two length
+    N, and the rest is derived from them: n, N, k, rate and info_indices,
+    the 1-based information indices in ascending order, computed from the
+    mask on each access. Every information channel is at least as reliable
+    as every frozen one.
     """
 
-    n: int
-    channel_erasure: float
-    fault: FaultSpec
     reliabilities: np.ndarray
     frozen_mask: np.ndarray
 
     def __post_init__(self):
-        n_total = 2**self.n
         z = _read_only(np.asarray(self.reliabilities, dtype=np.float64))
         frozen = _read_only(np.asarray(self.frozen_mask))
-        if z.shape != (n_total,):
-            raise ValueError(f"expected {n_total} reliabilities, got shape {z.shape}")
-        if frozen.dtype != bool or frozen.shape != (n_total,):
-            raise ValueError(f"frozen_mask must be {n_total} bools, got "
+        if z.ndim != 1 or z.size == 0 or z.size & (z.size - 1):
+            raise ValueError(f"reliability count must be a power of two, got shape {z.shape}")
+        if frozen.dtype != bool or frozen.shape != z.shape:
+            raise ValueError(f"frozen_mask must be {z.size} bools, got "
                              f"{frozen.dtype} of shape {frozen.shape}")
         if not (z.min() >= 0.0 and z.max() <= 1.0):
             raise ValueError("reliabilities must lie in [0, 1]")
-        chosen = ~frozen
-        info = np.flatnonzero(chosen).astype(np.int64, copy=False)
-        info += 1
-        if 0 < info.size < n_total and (z.max(where=chosen, initial=0.0)
-                                        > z.min(where=frozen, initial=1.0)):
+        if z.max(where=~frozen, initial=0.0) > z.min(where=frozen, initial=1.0):
             raise ValueError("the information set contains a less reliable "
                              "channel than the frozen set")
         object.__setattr__(self, "reliabilities", z)
         object.__setattr__(self, "frozen_mask", frozen)
-        object.__setattr__(self, "_info_indices", _read_only(info))
+
+    @property
+    def n(self) -> int:
+        return self.N.bit_length() - 1
 
     @property
     def N(self) -> int:
-        return 2**self.n
+        return self.frozen_mask.size
 
     @property
     def k(self) -> int:
-        return self._info_indices.size
+        return self.N - int(np.count_nonzero(self.frozen_mask))
 
     @property
     def rate(self) -> float:
@@ -370,7 +366,7 @@ class CodeConstruction:
     @property
     def info_indices(self) -> np.ndarray:
         """Information-set indices, 1-based, ascending."""
-        return self._info_indices
+        return _read_only(np.flatnonzero(~self.frozen_mask) + 1)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -383,11 +379,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def construct_code(n: int, p: float, fault: FaultSpec, k: int) -> CodeConstruction:
     """Run density evolution and freeze all but the k best channels.
 
-    design_code picks the frozen mask, and CodeConstruction derives the
-    information indices from it. Raises as evolve_all (n above
+    design_code picks the frozen mask. Raises as evolve_all (n above
     DEFAULT_MAX_EXPONENT) and design_code do.
     """
     z = evolve_all(n, p, fault)
-    frozen = design_code(z, k)
-    return CodeConstruction(n=n, channel_erasure=p, fault=fault,
-                            reliabilities=z, frozen_mask=frozen)
+    return CodeConstruction(reliabilities=z, frozen_mask=design_code(z, k))

@@ -25,6 +25,12 @@ def _require_unit_interval(value, name):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _require_integer(value, name):
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def t_plus(eps):
     """Variable-node step: eps**2."""
     _require_unit_interval(eps, "eps")

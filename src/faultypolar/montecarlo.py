@@ -38,7 +38,7 @@ from .analysis import fer_proxy
 from .codec import _decode_batch, _polar_transform, fault_slot_count
 from .codec import encode  # noqa: F401  (perfbench times montecarlo.encode)
 from .construction import CodeConstruction
-from .core import FaultSpec, _require_unit_interval
+from .core import FaultSpec, _require_integer, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
 
 ROLE_SOURCE = 0
@@ -127,10 +127,10 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
     being the channel's S), N - 1 rows of partial sums and a half-height
     g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
     chunk (batch = 0 gives it alone), 10 bytes per position: the int64
-    information indices and the information set as a bool mask in the
-    chunk and in the decoder; without the genie, 9 more for the
-    information set's block pyramid, which the decoder's rate-0 skip and
-    partial sums read, and the eight lanes of source bits. Fixed scratch
+    information positions, the bool mask they are found from and the
+    decoder's, which a genie decode does not build; without the genie, 9
+    more for that mask's block pyramid, which the rate-0 skip reads, and
+    the eight lanes of source bits. Fixed scratch
     (the eight lanes of fault hits, a block of raw words and the packing
     buffers, 64 KiB each) is not counted.
     """
@@ -164,9 +164,11 @@ class SimConfig:
 
     def __post_init__(self):
         _require_unit_interval(self.channel_erasure, "channel_erasure")
-        if self.trials < 1:
+        if self.code.k == 0:
+            raise ValueError("the code has no information bit")
+        if _require_integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
+        if not 0 <= _require_integer(self.master_seed, "master_seed") < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
 
@@ -255,7 +257,7 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     code = config.code
     size = code.N
     batch = stop - start
-    info0 = code.info_indices - 1
+    info0 = np.flatnonzero(~code.frozen_mask)
     k = info0.size
     seed = config.master_seed
 
@@ -304,14 +306,13 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
 
     # a genie run counts every decision, so it decodes them all; any other
     # run reads the information decisions alone
-    info = ~code.frozen_mask
     decision_erased = _decode_batch(
         erased, code.frozen_mask, config.fault, config.fault.correlation_mode,
         config.genie, codeword, None if hits is None else hits.T,
         info_only=not config.genie)[0]
 
     # packed rows: bit k of byte j is trial start + 8j + k; pad bits are 0
-    erased_info = decision_erased[info]
+    erased_info = decision_erased[info0]
     frame_erasures = int(np.bitwise_count(np.bitwise_or.reduce(erased_info, axis=0)).sum())
     info_bit_erasures = int(np.bitwise_count(erased_info).sum())
     per_bit = None
@@ -343,7 +344,7 @@ def run_simulation(config: SimConfig, threads: int = 1) -> SimOutcome:
     if config.trials * code.N > WORK_BUDGET:
         raise ResourceLimitError(
             f"trials * N = {config.trials * code.N} exceeds the work budget {WORK_BUDGET}")
-    if threads < 1:
+    if _require_integer(threads, "threads") < 1:
         raise ValueError("threads must be >= 1")
 
     slots = fault_slot_count(code.n, config.fault, config.fault.correlation_mode)
@@ -395,8 +396,7 @@ def compare_to_proxy(outcome: SimOutcome, code: CodeConstruction) -> ProxyCompar
     """
     proxy = fer_proxy(code)
     clamped = min(proxy, 1.0)
-    info0 = code.info_indices - 1
-    lower = float(code.reliabilities[info0].max()) if info0.size else 0.0
+    lower = float(code.reliabilities.max(where=~code.frozen_mask, initial=0.0))
     frames = outcome.frames
     sigma_upper = math.sqrt(clamped * (1.0 - clamped) / frames)
     sigma_lower = math.sqrt(lower * (1.0 - lower) / frames)

@@ -488,11 +488,11 @@ def test_csv_text_is_held_one_block_at_a_time(tmp_path):
     # the sorted values and the i/N axis
     staircase = _cli_peak(["sweep", "staircase", "--n", str(n)], tmp_path)
     assert staircase <= 16 * size + block
-    # the float64 reliabilities, the int32 index, the bool mask (the frozen
-    # column is a view of it) and the k = N/2 int64 information indices
+    # the float64 reliabilities, the int32 index and the bool mask (the
+    # frozen column is a view of it)
     construct = _cli_peak(["construct", "--n", str(n), "--p", "0.5", "--delta", "1e-6",
                            "--rate", "0.5"], tmp_path)
-    assert construct <= (8 + 4 + 1) * size + 8 * (size // 2) + block
+    assert construct <= (8 + 4 + 1) * size + block
 
 
 def _parse_output(parser, argv, capsys):

@@ -10,6 +10,7 @@ from faultypolar import (
     CodeConstruction,
     FaultSpec,
     ResourceLimitError,
+    SimConfig,
     construct_code,
     design_code,
     erasure_floor,
@@ -19,6 +20,8 @@ from faultypolar import (
     index_to_path,
     pe_counts,
     rate_loss,
+    rate_loss_sweep,
+    run_simulation,
 )
 from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _levels
 
@@ -338,6 +341,34 @@ def test_pe_counts():
         pe_counts(-1, 0)
 
 
+def _sim_config(trials, seed=0):
+    fault = FaultSpec()
+    return SimConfig(code=construct_code(2, 0.5, fault, 2), channel_erasure=0.5,
+                     fault=fault, trials=trials, master_seed=seed)
+
+
+# each integer where it enters: (the call, an integer it takes, a non-integer)
+@pytest.mark.parametrize("call, count, bad", [
+    pytest.param(lambda v: expected_epsilon(0.5, 1e-3, v), 2, 2.5, id="expected_epsilon"),
+    pytest.param(lambda v: rate_loss(0.5, 1e-3, v), 2, 2.5, id="rate_loss"),
+    pytest.param(lambda v: rate_loss_sweep(0.5, [1e-3], [1, v]), 2, 2.7,
+                 id="rate_loss_sweep"),
+    pytest.param(lambda v: pe_counts(4, v), 1, 1.5, id="pe_counts-n_p"),
+    pytest.param(lambda v: pe_counts(v, 1), 4, 4.0, id="pe_counts-n"),
+    pytest.param(_sim_config, 10, 10.5, id="SimConfig-trials"),
+    pytest.param(lambda v: _sim_config(10, seed=v), 1, 1.5, id="SimConfig-master_seed"),
+    pytest.param(lambda v: run_simulation(_sim_config(10), threads=v), 1, 1.5,
+                 id="run_simulation-threads"),
+])
+def test_counts_must_be_integers(call, count, bad):
+    call(count)
+    call(np.int64(count))
+    # a float is refused, not rounded by a cast or raised from inside numpy
+    for value in (bad, np.float64(bad), "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+
+
 def test_code_construction_invariants():
     fault = FaultSpec(delta=1e-6)
     code = construct_code(6, 0.5, fault, 32)
@@ -356,10 +387,13 @@ def test_code_construction_rejects_bad_sets():
     z = evolve_all(2, 0.5, FaultSpec())
 
     def build(reliabilities, frozen_mask):
-        return CodeConstruction(n=2, channel_erasure=0.5, fault=FaultSpec(),
-                                reliabilities=reliabilities, frozen_mask=frozen_mask)
+        return CodeConstruction(reliabilities=reliabilities, frozen_mask=frozen_mask)
 
     build(z, np.array([True, True, False, False]))
+    # no information bit, or no frozen one; n, N and k are derived as ints
+    for frozen, k in ((np.ones(4, dtype=bool), 0), (np.zeros(4, dtype=bool), 4)):
+        code = build(z, frozen)
+        assert (code.n, code.N, code.k, type(code.k)) == (2, 4, k, int)
     # the information set {1, 2} is less reliable than the frozen set {3, 4}
     with pytest.raises(ValueError):
         build(z, np.array([False, False, True, True]))
@@ -426,13 +460,13 @@ def _traced_peak(fn, *args):
 @pytest.mark.parametrize("n", [16, 18])
 def test_construct_code_peak(n):
     # the 8-byte reliabilities, plus either np.partition's copy of them or
-    # the bool mask, its complement and the int64 information indices; a
-    # stable argsort peaked 6 bytes per position higher at k = N/2
+    # the bool mask and its complement; a stable argsort peaked 6 bytes per
+    # position higher at k = N/2
     size = 2**n
     fault = FaultSpec(delta=1e-6)
     for k in (1, size // 2, size - 1):
         peak = _traced_peak(construct_code, n, 0.5, fault, k)
-        assert peak <= 8 * size + max(8 * size, 2 * size + 8 * k) + _SLACK, k
+        assert peak <= 16 * size + _SLACK, k
     # at p = 1 every value ties, and the tie positions take 8 bytes each
     peak = _traced_peak(construct_code, n, 1.0, fault, size // 2)
     assert peak <= 18 * size + _SLACK
@@ -441,8 +475,7 @@ def test_construct_code_peak(n):
 def test_code_construction_arrays_are_read_only():
     z = evolve_all(3, 0.5, FaultSpec())
     frozen = design_code(z, 4)
-    code = CodeConstruction(n=3, channel_erasure=0.5, fault=FaultSpec(),
-                            reliabilities=z, frozen_mask=frozen)
+    code = CodeConstruction(reliabilities=z, frozen_mask=frozen)
     for arr in (code.reliabilities, code.frozen_mask, code.info_indices):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

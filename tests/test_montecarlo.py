@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from faultypolar import (
+    CodeConstruction,
     FaultSpec,
     ProxyComparison,
     ResourceLimitError,
@@ -167,6 +168,15 @@ def test_sim_config_validation():
         _config(mode="coupled")
     config = _config(mode=None, delta=0.1)
     assert config.fault.correlation_mode == "independent_tree"  # inherited from the fault spec
+
+
+def test_sim_config_refuses_a_code_without_information_bits():
+    # it would divide by k = 0 when the bit erasure rate is taken
+    code = construct_code(2, 0.5, FaultSpec(), 2)
+    frozen = CodeConstruction(code.reliabilities, np.ones(code.N, dtype=bool))
+    with pytest.raises(ValueError, match="no information bit"):
+        SimConfig(code=frozen, channel_erasure=0.5, fault=FaultSpec(), trials=10,
+                  master_seed=0)
 
 
 def test_binomial_ci95():

@@ -13,9 +13,7 @@ import numpy as np
 from .construction import (
     CodeConstruction,
     _code_dimension,
-    _levels,
     _rate_losses,
-    _root,
     evolve_all,
     pe_counts,
 )
@@ -115,45 +113,30 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
     min(n_u, n) are faulty; the metadata records the protected PE fraction
     for each series.
 
-    All series share one all-faulty trunk recursion: the code with s
-    faulty steps is trunk level s grown fault-free to level n, which holds
-    the values of evolve_all for that n_p bit for bit. Each series sorts
-    them, so trunk and branches grow in construction._grow's order-free
-    layout. Each distinct s is grown, sorted and summed once, so repeated
-    n_p values, and n_p = 0 and 1 (both give s = n), cost one series.
-    Trunk and branches share one 2**n buffer: the trunk runs in its first
-    2**T cells, T the largest s, and a branch below T saves its trunk
-    level, grows over it and restores it, so the sweep holds at most 1.5
-    buffers.
+    The series of n_p is fer_vs_rate_sweep under
+    FaultSpec.from_protected_levels(n, n_p, delta). Every n_p is checked
+    before any density evolution runs, and each distinct faulty-step count
+    is swept once, so repeated n_p values, and n_p = 0 and 1 (both give
+    n faulty steps), share one curve. The sweeps run one after another,
+    so the sweep holds one 2**n buffer at a time.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
     n_p_values = tuple(n_p_values)
     if not n_p_values:
         raise ValueError("n_p_values must not be empty")
-    faulty = {n_p: FaultSpec.from_protected_levels(n, n_p, delta).effective_steps(n)
-              for n_p in n_p_values}
-    branches = set(faulty.values())
-    trunk_steps = max(branches)
-    buf = _root(n, p)
-    points = {}
-    for steps, level in enumerate(_levels(buf[:2**trunk_steps], trunk_steps,
-                                          delta, trunk_steps, ordered=False)):
-        if steps in branches:
-            saved = level.copy() if steps < trunk_steps else None
-            for _ in _levels(buf, n - steps, delta, 0, ordered=False):
-                pass
-            points[steps] = _rate_points(buf, rates)
-            if saved is not None:
-                level[:] = saved
-            del saved  # before the next branch copies a larger level
+    faults = {n_p: FaultSpec.from_protected_levels(n, n_p, delta) for n_p in n_p_values}
+    curves = {}
     series: dict[str, np.ndarray] = {}
     fractions = {}
-    for n_p in n_p_values:
-        ks, realized, proxy = points[faulty[n_p]]
-        series[f"proxy_raw_np{n_p}"] = proxy
-        series[f"proxy_clamped_np{n_p}"] = np.minimum(proxy, 1.0)
+    for n_p, fault in faults.items():
+        steps = fault.effective_steps(n)
+        if steps not in curves:
+            curves[steps] = fer_vs_rate_sweep(n, p, fault, rates).series
+        curve = curves[steps]
+        series[f"proxy_raw_np{n_p}"] = curve["proxy_raw"]
+        series[f"proxy_clamped_np{n_p}"] = curve["proxy_clamped"]
         fractions[int(n_p)] = pe_counts(n, n_p).fraction
-    series = {"k": ks, "realized_rate": realized, **series}
+    series = {"k": curve["k"], "realized_rate": curve["realized_rate"], **series}
     return SweepResult(
         axis=np.asarray(rates, dtype=np.float64),
         series=series,

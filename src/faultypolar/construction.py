@@ -29,8 +29,8 @@ from .errors import ResourceLimitError
 
 # Largest exponent density evolution accepts. It grows every level inside
 # one buffer of N = 2**n doubles, 128 MiB at n = 24, in natural or
-# order-free layout (see _grow); sweep protection holds 1.5 such buffers,
-# and construct 2 while np.partition copies one, 1.625 while it writes.
+# order-free layout (see _grow); a sweep grows one buffer at a time, and
+# construct holds 2 while np.partition copies one, 1.625 while it writes.
 DEFAULT_MAX_EXPONENT = 24
 
 # Largest step count (2**20 paths) whose mean _mean_erasures takes by
@@ -77,24 +77,6 @@ def evolve_path(bits: Sequence[int], p: float, fault: FaultSpec) -> float:
 # fault terms of one output block. Natural-order input blocks are half that
 # size; order-free ones are its size, and each half is faulted on its own.
 _SCRATCH = 2**13
-
-
-def _root(n: int, p) -> np.ndarray:
-    """A 2**n buffer whose cell 0 is p, after the checks of evolve_all.
-
-    Level 0 of an n-step recursion; _levels grows it in place. n above
-    DEFAULT_MAX_EXPONENT is refused before anything is allocated.
-    """
-    if n < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if n > DEFAULT_MAX_EXPONENT:
-        raise ResourceLimitError(
-            f"n={n} exceeds the memory budget (max exponent {DEFAULT_MAX_EXPONENT})"
-        )
-    p = _channel_erasure(p)
-    buf = np.empty(2**n, dtype=np.float64)
-    buf[0] = p
-    return buf
 
 
 def _grow(buf: np.ndarray, size: int, delta: float, faulty: bool,
@@ -152,33 +134,41 @@ def _add_fault(out: np.ndarray, delta: float, scratch: np.ndarray) -> None:
     np.add(out, lost, out=out)
 
 
-def _levels(buf: np.ndarray, steps: int, delta: float, faulty_steps: int,
-            ordered: bool = True):
-    """Yield the start level, then each of the `steps` levels grown from it.
+def _levels(n: int, p, delta: float, faulty_steps: int, ordered: bool = True):
+    """Yield the n + 1 levels of an n-step recursion, from the root [p].
 
-    The density-evolution kernel of this package. The start level is the
-    first buf.size >> steps cells of buf, and each step grows the level in
-    place inside buf, so every yielded level is a prefix view of buf that
-    stays valid only until the next one is requested. Of the steps, the
-    first faulty_steps are faulty. Each cell gets the arithmetic of the
-    core transfer maps, in the same order, without their per-call checks:
-    callers check p and delta once (every level stays in [0, 1] when they
-    lie there). Between levels the generator holds no scratch.
+    The density-evolution kernel of this package, and its one entry: it
+    checks n and p, and refuses n above DEFAULT_MAX_EXPONENT before it
+    allocates the buffer of 2**n doubles. Each step grows the level in
+    place inside that buffer, so every yielded level is a prefix view of
+    it that stays valid only until the next one is requested. Of the
+    steps, the first faulty_steps are faulty. Each cell gets the
+    arithmetic of the core transfer maps, in the same order, without their
+    per-call checks: callers check delta once (every level stays in
+    [0, 1] when p and delta lie there). Between levels the generator holds
+    no scratch.
 
     ordered picks _grow's layout. Natural order is for callers that index
     the values or average them: evolve_all by default (construct and
     simulate index its result) and _mean_erasures (expected_epsilon,
     rate_loss and analysis.rate_loss_sweep), whose np.mean sums pairwise,
     so a permuted level could change a mean in its last bits. Callers that
-    sort pass ordered=False: analysis.protection_sweep for its trunk and
-    branches, and fer_vs_rate_sweep and staircase through evolve_all.
+    sort pass ordered=False through evolve_all: fer_vs_rate_sweep (and so
+    protection_sweep) and staircase.
     """
-    size = buf.size >> steps
-    yield buf[:size]
-    for j in range(steps):
-        _grow(buf, size, delta, j < faulty_steps, ordered)
-        size *= 2
-        yield buf[:size]
+    if _require_integer(n, "n") < 0:
+        raise ValueError(f"exponent n must be nonnegative, got {n}")
+    if n > DEFAULT_MAX_EXPONENT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the memory budget (max exponent {DEFAULT_MAX_EXPONENT})"
+        )
+    p = _channel_erasure(p)
+    buf = np.empty(2**n, dtype=np.float64)
+    buf[0] = p
+    yield buf[:1]
+    for j in range(n):
+        _grow(buf, 1 << j, delta, j < faulty_steps, ordered)
+        yield buf[:2 << j]
 
 
 def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.ndarray:
@@ -194,22 +184,21 @@ def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.n
     which sort, pass it; construct and simulate keep natural order, which
     is their output.
 
-    n and p are checked here, once; the result is the last level of
-    _levels, the package's one density-evolution recursion. Level j of
-    the all-faulty recursion is evolve_all(j) under the same delta, so the
-    sweeps in analysis read several results off one recursion.
+    The result is the last level of _levels, the package's one
+    density-evolution recursion, which checks n and p once. Level j of the
+    all-faulty recursion is evolve_all(j) under the same delta, so
+    rate_loss_sweep reads several means off one recursion.
 
     Raises
     ------
     ValueError
-        If n < 0 or p lies outside [0, 1].
+        If n is not a nonnegative integer or p lies outside [0, 1].
     ResourceLimitError
         If n exceeds DEFAULT_MAX_EXPONENT (2**24 doubles, 128 MiB).
     """
-    buf = _root(n, p)
-    for _ in _levels(buf, n, fault.delta, fault.effective_steps(n), ordered):
+    for z in _levels(n, p, fault.delta, fault.effective_steps(n), ordered):
         pass
-    return buf
+    return z
 
 
 def _code_dimension(rate, size: int) -> int:
@@ -232,7 +221,7 @@ def design_code(reliabilities, k: int) -> np.ndarray:
     """
     z = np.asarray(reliabilities, dtype=np.float64)
     n_total = z.size
-    if not 0 < k < n_total:
+    if not 0 < _require_integer(k, "k") < n_total:
         raise ValueError(f"k must lie in 1..{n_total - 1}, got {k}")
     kth = np.partition(z, k - 1)[k - 1]
     if np.isnan(kth):
@@ -263,8 +252,7 @@ def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:
     the per-step mean is affine in eps, though its last digits differ.
     """
     top = max((s for s in steps if s <= DEFAULT_ENUMERATION_CAP), default=0)
-    buf = _root(top, p)
-    means = [float(np.mean(z)) for z in _levels(buf, top, delta, top)]
+    means = [float(np.mean(z)) for z in _levels(top, p, delta, top)]
     return [means[s] if s <= DEFAULT_ENUMERATION_CAP
             else 1.0 - (1.0 - p) * (1.0 - delta) ** s for s in steps]
 

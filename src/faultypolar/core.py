@@ -113,9 +113,9 @@ class FaultSpec:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta!r}")
         if self.unprotected_steps is not None:
-            if int(self.unprotected_steps) != self.unprotected_steps or self.unprotected_steps < 0:
+            if _require_integer(self.unprotected_steps, "unprotected_steps") < 0:
                 raise ValueError(
-                    f"unprotected_steps must be a nonnegative integer or None, "
+                    f"unprotected_steps must be nonnegative or None, "
                     f"got {self.unprotected_steps!r}"
                 )
         if self.correlation_mode not in _CORRELATION_MODES:
@@ -139,7 +139,7 @@ class FaultSpec:
         elements; protecting n_p of them starting from the root leaves
         n_u = (n + 1) - n_p unprotected.
         """
-        if not 0 <= n_p <= n + 1:
+        if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
             raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
         return cls(delta=delta, unprotected_steps=(n + 1) - n_p,
                    correlation_mode=correlation_mode)

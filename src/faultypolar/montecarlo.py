@@ -208,9 +208,9 @@ def binomial_ci95(count: int, n: int) -> tuple[float, float]:
     tail count is below 10. Its bounds are beta quantiles, taken from
     scipy.special.betaincinv, the function scipy.stats.beta.ppf wraps.
     """
-    if n <= 0:
+    if _require_integer(n, "n") <= 0:
         raise ValueError("n must be positive")
-    if not 0 <= count <= n:
+    if not 0 <= _require_integer(count, "count") <= n:
         raise ValueError(f"count must be in 0..{n}, got {count}")
     phat = count / n
     if min(count, n - count) < 10:

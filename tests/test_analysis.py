@@ -21,7 +21,7 @@ from faultypolar import (
     rate_loss_sweep,
     staircase,
 )
-from faultypolar import construction
+from faultypolar import analysis, construction
 from faultypolar.analysis import _rate_points
 
 
@@ -215,9 +215,9 @@ def test_rate_loss_sweep_evolves_a_repeated_delta_once(monkeypatch):
     recursions = []
     levels = construction._levels
 
-    def counting(z, steps, delta, faulty_steps):
+    def counting(n, p, delta, faulty_steps):
         recursions.append(delta)
-        return levels(z, steps, delta, faulty_steps)
+        return levels(n, p, delta, faulty_steps)
 
     monkeypatch.setattr(construction, "_levels", counting)
     result = rate_loss_sweep(0.5, (1e-3, 1e-4, 0.001), range(1, 6))
@@ -279,17 +279,36 @@ def test_protection_sweep_matches_per_level_count_loop(n, delta):
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3])
 @pytest.mark.parametrize("n_p_values", [[5, 0, 9, 1, 5], [3, 11, 7, 3], [8, 2, 6]])
 def test_protection_sweep_matches_the_loop_for_unordered_levels(n_p_values, delta):
-    # branches below the deepest one restore their trunk level in any order
+    # repeated and unsorted n_p values share curves and keep their order
     result = protection_sweep(10, 0.3, delta, n_p_values)
     _assert_same_series(result.series, _protection_reference(10, 0.3, delta, n_p_values))
+
+
+def test_protection_sweep_is_one_fer_rate_sweep_per_faulty_step_count(monkeypatch):
+    # n_p = 0 and 1 give n faulty steps, and a repeated n_p its first curve;
+    # an n_p out of range is refused before any curve is swept
+    sweeps = []
+    sweep = analysis.fer_vs_rate_sweep
+
+    def counting(n, p, fault, rates=None):
+        sweeps.append(fault.effective_steps(n))
+        return sweep(n, p, fault, rates)
+
+    monkeypatch.setattr(analysis, "fer_vs_rate_sweep", counting)
+    protection_sweep(8, 0.5, 1e-3, [3, 0, 1, 3, 9, 5])
+    assert sweeps == [6, 8, 0, 4]
+    sweeps.clear()
+    with pytest.raises(ValueError, match="n_p"):
+        protection_sweep(8, 0.5, 1e-3, [3, 10])
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
 def test_order_free_sweeps_match_natural_order(p, delta):
-    # the trunk and its branches grow order-free; every n_p (n_u from n + 1
-    # down to 0) must give the loop's natural-order bits, as must fer-rate
-    # and staircase
+    # the sweeps grow order-free; every n_p (n_u from n + 1 down to 0)
+    # must give the loop's natural-order bits, as must fer-rate and
+    # staircase
     for n in range(1, 13):
         size = 2**n
         rates = [1 / size, 0.5, (size - 1) / size]
@@ -382,10 +401,10 @@ def test_design_sweeps_peak_at_one_buffer(n):
 
 
 @pytest.mark.parametrize("n", [16, 18])
-def test_protection_sweep_peaks_at_one_and_a_half_buffers(n):
-    # n_p = 2 saves trunk level n - 1 while its branch grows over it
+def test_protection_sweep_peaks_at_one_buffer(n):
+    # one fer_vs_rate_sweep per faulty-step count, each freeing its buffer
     peak = _traced_peak(protection_sweep, n, 0.5, 1e-6, range(n + 2))
-    assert peak <= 12 * 2**n + _SLACK
+    assert peak <= 8 * 2**n + _SLACK
 
 
 def test_rate_loss_sweep_recursion_stops_at_the_enumeration_cap():

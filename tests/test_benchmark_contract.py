@@ -33,8 +33,10 @@ def test_traced_workload_measures_every_layer(workload, tmp_path):
     assert report["trace"]["unmeasured"] == []
     if workload == "design":
         # construct, staircase and fer-rate each call evolve_all once, the
-        # sweeps through analysis.evolve_all, whatever order they ask for
-        assert report["trace"]["counts"]["construction.evolve_all_calls"] == 3
+        # sweeps through analysis.evolve_all, whatever order they ask for;
+        # protection --n 18 --np 0..8 once per distinct faulty-step count
+        # (18 down to 11)
+        assert report["trace"]["counts"]["construction.evolve_all_calls"] == 3 + 8
 
 
 @pytest.fixture
@@ -81,10 +83,9 @@ def test_benchmark_simulations_run_as_one_chunk(workload, perfbench, monkeypatch
 
 
 def test_design_commands_peak_at_one_buffer_of_their_largest_n(perfbench, tmp_path):
-    # Density evolution holds one 2**n float64 buffer (1.5 in sweep
-    # protection). The slack covers the CSV text of the n = 14 commands,
-    # about 2.5 MiB; the three buffers of an out-of-place sort and sum at
-    # n = 20 would exceed it.
+    # Density evolution holds one 2**n float64 buffer at a time. The slack
+    # covers the CSV text of the n = 14 commands, about 2.5 MiB; the three
+    # buffers of an out-of-place sort and sum at n = 20 would exceed it.
     from faultypolar.cli import main
     from faultypolar.construction import DEFAULT_ENUMERATION_CAP
 

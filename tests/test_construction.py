@@ -11,6 +11,7 @@ from faultypolar import (
     FaultSpec,
     ResourceLimitError,
     SimConfig,
+    binomial_ci95,
     construct_code,
     design_code,
     erasure_floor,
@@ -19,11 +20,12 @@ from faultypolar import (
     expected_epsilon,
     index_to_path,
     pe_counts,
+    protection_sweep,
     rate_loss,
     rate_loss_sweep,
     run_simulation,
 )
-from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _levels
+from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _grow, _levels
 
 
 def oracle_z(n, p, delta=0.0, n_u=None):
@@ -164,8 +166,8 @@ def test_evolve_all_equals_evolve_path_bitwise_at_the_edges(p, delta, n_u):
 
 
 def _reference_levels(z, steps, delta, faulty_steps, ordered=True):
-    """The levels of _levels, each grown into a fresh array: children
-    interleaved (ordered) or as [minus | plus] halves."""
+    """The levels of _grow and _levels, each grown into a fresh array:
+    children interleaved (ordered) or as [minus | plus] halves."""
     yield z
     for j in range(steps):
         nxt = np.empty(2 * z.size, dtype=np.float64)
@@ -195,14 +197,20 @@ START_LEVELS = {
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
 @pytest.mark.parametrize("start", sorted(START_LEVELS))
 def test_levels_in_place_equal_fresh_levels_bitwise(start, delta, ordered):
-    # up to 14 steps, so the widest steps span several scratch blocks
+    # up to 14 steps, so the widest steps span several scratch blocks;
+    # _grow from each start level, and _levels from the root [z0[0]]
     z0 = START_LEVELS[start]
     for steps in range(15):
         for faulty_steps in range(steps + 1):
             buf = np.full(start << steps, np.nan)  # a cell read before written shows
             buf[:start] = z0
-            levels = zip(_levels(buf, steps, delta, faulty_steps, ordered),
-                         _reference_levels(z0, steps, delta, faulty_steps, ordered),
+            refs = _reference_levels(z0, steps, delta, faulty_steps, ordered)
+            next(refs)
+            for j, ref in enumerate(refs):
+                _grow(buf, start << j, delta, j < faulty_steps, ordered)
+                assert buf[:ref.size].tobytes() == ref.tobytes(), (steps, faulty_steps, j)
+            levels = zip(_levels(steps, z0[0], delta, faulty_steps, ordered),
+                         _reference_levels(z0[:1], steps, delta, faulty_steps, ordered),
                          strict=True)
             for j, (level, ref) in enumerate(levels):
                 assert level.tobytes() == ref.tobytes(), (steps, faulty_steps, j)
@@ -349,6 +357,17 @@ def _sim_config(trials, seed=0):
 
 # each integer where it enters: (the call, an integer it takes, a non-integer)
 @pytest.mark.parametrize("call, count, bad", [
+    pytest.param(lambda v: evolve_all(v, 0.5, FaultSpec()), 2, 2.5, id="evolve_all-n"),
+    pytest.param(lambda v: construct_code(2, 0.5, FaultSpec(), v), 2, 2.5,
+                 id="construct_code-k"),
+    pytest.param(lambda v: design_code(np.array([0.1, 0.2, 0.3, 0.4]), v), 2, 2.0,
+                 id="design_code-k"),
+    pytest.param(lambda v: FaultSpec(unprotected_steps=v), 2, 2.0,
+                 id="FaultSpec-unprotected_steps"),
+    pytest.param(lambda v: protection_sweep(4, 0.5, 0.1, [v]), 2, 2.0,
+                 id="protection_sweep-n_p"),
+    pytest.param(lambda v: binomial_ci95(v, 10), 5, 5.5, id="binomial_ci95-count"),
+    pytest.param(lambda v: binomial_ci95(5, v), 10, 10.0, id="binomial_ci95-n"),
     pytest.param(lambda v: expected_epsilon(0.5, 1e-3, v), 2, 2.5, id="expected_epsilon"),
     pytest.param(lambda v: rate_loss(0.5, 1e-3, v), 2, 2.5, id="rate_loss"),
     pytest.param(lambda v: rate_loss_sweep(0.5, [1e-3], [1, v]), 2, 2.7,

@@ -74,8 +74,13 @@ def _rate_points(z: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def fer_vs_rate_sweep(n: int, p: float, fault: FaultSpec, rates=None) -> SweepResult:
-    """FER proxy across a rate grid for one blocklength and fault spec."""
+    """FER proxy across a rate grid for one blocklength and fault spec.
+
+    An empty rate grid is refused before any density evolution runs.
+    """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
+    if not rates:
+        raise ValueError("rates must not be empty")
     z = evolve_all(n, p, fault, ordered=False)
     ks, realized, proxy = _rate_points(z, rates)
     return SweepResult(
@@ -115,9 +120,10 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
 
     The series of n_p is fer_vs_rate_sweep under
     FaultSpec.from_protected_levels(n, n_p, delta). Every n_p is checked
-    before any density evolution runs, and each distinct faulty-step count
-    is swept once, so repeated n_p values, and n_p = 0 and 1 (both give
-    n faulty steps), share one curve. The sweeps run one after another,
+    before any density evolution runs, and so is the rate grid, by the
+    first fer_vs_rate_sweep. Each distinct faulty-step count is swept
+    once, so repeated n_p values, and n_p = 0 and 1 (both give n faulty
+    steps), share one curve. The sweeps run one after another,
     so the sweep holds one 2**n buffer at a time.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)

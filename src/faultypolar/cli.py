@@ -46,8 +46,9 @@ EXIT_INVARIANT = 4
 
 # Most values an 'a..b' range spec may expand to.
 RANGE_SPEC_CAP = 2**20
-# Rows per format call of _write_csv; one block's text is about 2.4 MiB.
-CSV_BLOCK_ROWS = 2**14
+# Most cells per format call of _write_csv (2048 rows of two columns): a
+# block's cells, their Python values and its text take about 0.3 MiB.
+CSV_BLOCK_CELLS = 2**12
 
 
 def _fmt(value) -> str:
@@ -90,19 +91,21 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     Each column gives one field of a row template: `%.17g` for floats, the
     17 significant digits of `_fmt`, and `%s` for the rest, the `str` of
     its Python value (ints as integers, bools as True/False). Each block
-    of CSV_BLOCK_ROWS rows is interleaved row-major into one list of
-    cells, formatted by the template repeated once per row in a single
-    `%` and written, so the text held at once is one block's.
+    of at most CSV_BLOCK_CELLS cells (one row at least) is interleaved
+    row-major into one list of cells, formatted by the template repeated
+    once per row in a single `%` and written, so what is held at once is
+    one block's, whatever the column count.
     """
     columns = [np.asarray(column) for column in columns]
     width = len(columns)
     rows = len(columns[0]) if columns else 0
+    block = max(1, CSV_BLOCK_CELLS // max(width, 1))
     template = ",".join("%.17g" if column.dtype.kind == "f" else "%s"
                         for column in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            count = min(CSV_BLOCK_ROWS, rows - start)
+        for start in range(0, rows, block):
+            count = min(block, rows - start)
             cells = [None] * (width * count)
             for j, column in enumerate(columns):
                 cells[j::width] = column[start:start + count].tolist()

@@ -196,6 +196,7 @@ def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.n
     ResourceLimitError
         If n exceeds DEFAULT_MAX_EXPONENT (2**24 doubles, 128 MiB).
     """
+    _require_integer(n, "n")  # before effective_steps compares it
     for z in _levels(n, p, fault.delta, fault.effective_steps(n), ordered):
         pass
     return z

@@ -139,6 +139,7 @@ class FaultSpec:
         elements; protecting n_p of them starting from the root leaves
         n_u = (n + 1) - n_p unprotected.
         """
+        _require_integer(n, "n")
         if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
             raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
         return cls(delta=delta, unprotected_steps=(n + 1) - n_p,

@@ -151,6 +151,16 @@ def test_sweep_result_validation():
         fer_vs_rate_sweep(3, 0.5, FaultSpec(), rates=[0.05])  # k would be 0
 
 
+def test_sweeps_refuse_an_empty_rate_grid_before_density_evolution(monkeypatch):
+    def evolve_all(*args, **kwargs):
+        raise AssertionError("density evolution ran")
+    monkeypatch.setattr(analysis, "evolve_all", evolve_all)
+    with pytest.raises(ValueError, match="rates must not be empty"):
+        fer_vs_rate_sweep(4, 0.5, FaultSpec(), rates=[])
+    with pytest.raises(ValueError, match="rates must not be empty"):
+        protection_sweep(4, 0.5, 0.1, [0, 2], rates=())
+
+
 def test_sweep_result_leaves_the_callers_series_alone():
     series = {"a": [1.0, 2.0], "b": [3, 4]}
     result = SweepResult(axis=[0, 1], series=series, metadata={})
@@ -265,9 +275,14 @@ def test_rate_loss_sweep_takes_the_closed_form_inline_above_the_cap(p, monkeypat
 @pytest.mark.parametrize("n", range(11))
 def test_protection_sweep_matches_per_level_count_loop(n, delta):
     size = 2**n
-    # every k once, in descending order; none at n = 0
+    # every k once, in descending order; none at n = 0, where the empty
+    # rate grid is refused
     rates = [k / size for k in range(size - 1, 0, -1)]
     n_p_values = [*range(n + 2), n + 1, 0, 1]
+    if not rates:
+        with pytest.raises(ValueError, match="rates must not be empty"):
+            protection_sweep(n, 0.4, delta, n_p_values, rates=rates)
+        return
     result = protection_sweep(n, 0.4, delta, n_p_values, rates=rates)
     expected = _protection_reference(n, 0.4, delta, n_p_values, rates=rates)
     _assert_same_series(result.series, expected)

@@ -321,7 +321,7 @@ def _write_csv_rows(path, header, rows):
     (["index", "z"], [np.arange(1, 5), np.array([np.nan, -0.0, -np.inf, 0.0])]),
     (["index", "frozen"], [np.arange(1, 5), np.array([True, False, False, True])]),
     (["index", "z"], [np.array([], dtype=np.int64), np.array([], dtype=np.float64)]),
-    # two blocks and part of a third
+    # many blocks and part of one more
     (["index", "frozen"],
      [np.arange(1, 2**15 + 6), np.arange(2**15 + 5) % 3 == 0]),
     (["index", "z"],
@@ -333,6 +333,26 @@ def test_write_csv_matches_the_row_writer(header, columns, tmp_path):
     _write_csv(tmp_path / "cols.csv", header, columns)
     _write_csv_rows(tmp_path / "rows.csv", header, zip(*columns))
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width", [2, 5])
+@pytest.mark.parametrize("cast", [lambda v: (v * 8).astype(np.int64), lambda v: v > 0,
+                                  lambda v: v], ids=["int", "bool", "float"])
+def test_write_csv_blocks_join_seamlessly(width, cast, tmp_path, monkeypatch):
+    # a partial last block after full ones, and one row either side of a
+    # block boundary, give the bytes of a write in one block
+    block = cli.CSV_BLOCK_CELLS // width
+    header = [f"c{j}" for j in range(width)]
+    values = np.random.default_rng(width).random((width, 2 * block + 3)) - 0.5
+    for rows in (block - 1, block, block + 1, 2 * block + 3):
+        columns = [np.arange(rows), *(cast(v[:rows]) for v in values[1:])]
+        _write_csv(tmp_path / "blocks.csv", header, columns)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "CSV_BLOCK_CELLS", width * rows)
+            _write_csv(tmp_path / "one.csv", header, columns)
+        text = (tmp_path / "blocks.csv").read_bytes()
+        assert text == (tmp_path / "one.csv").read_bytes()
+        assert text.count(b"\n") == rows + 1
 
 
 # The CLI contract, recorded before the commands became table-driven: each
@@ -455,6 +475,9 @@ def _exit_code(args, out_dir):
     (["construct", "--n", "3", "--p", "0.5", "--delta", "0", "--rate", "0.5",
       "--threads", "-5"], 2),
     (["sweep", "staircase", "--n", "4", "--threads", "0"], 2),
+    # an empty rate grid, refused before any density evolution
+    (["sweep", "fer-rate", "--n", "4", "--rates", ","], 2),
+    (["sweep", "protection", "--n", "4", "--delta", "0.1", "--np", "0", "--rates", ","], 2),
 ])
 def test_cli_error_exit_codes(args, code, tmp_path, capsys):
     assert _exit_code(args, tmp_path) == code
@@ -471,28 +494,45 @@ def test_oversized_range_spec_is_usage_error(args, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def _cli_peak(args, tmp_path):
+def _cli_write_peaks(args, tmp_path, monkeypatch):
+    """(command's peak, most held when a write starts, most one write adds)."""
+    write, peaks, held, added = cli._write_csv, [], [], []
+
+    def traced(*table):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        write(*table)
+        added.append(tracemalloc.get_traced_memory()[1] - held[-1])
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
     tracemalloc.start()
     try:
         assert run_cli(args, tmp_path) == 0
-        return tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return max(peaks), max(held), max(added)
     finally:
         tracemalloc.stop()
 
 
-def test_csv_text_is_held_one_block_at_a_time(tmp_path):
-    # what each command allocates besides the text, plus at most one block
-    # of CSV_BLOCK_ROWS rows (about 2.4 MiB of text and cells)
-    n, block = 18, 4 * 2**20
+def test_csv_text_is_held_one_block_at_a_time(tmp_path, monkeypatch):
+    # a write adds at most one block of CSV_BLOCK_CELLS cells (about 0.3 MiB
+    # of cells, their Python values and text) to the tables it writes; what
+    # is held besides them is the interpreter's first imports
+    n, block = 18, 2**19
     size = 2**n
     # the sorted values and the i/N axis
-    staircase = _cli_peak(["sweep", "staircase", "--n", str(n)], tmp_path)
-    assert staircase <= 16 * size + block
+    _, held, added = _cli_write_peaks(["sweep", "staircase", "--n", str(n)], tmp_path,
+                                      monkeypatch)
+    assert held <= 16 * size + block and added <= block
     # the float64 reliabilities, the int32 index and the bool mask (the
-    # frozen column is a view of it)
-    construct = _cli_peak(["construct", "--n", str(n), "--p", "0.5", "--delta", "1e-6",
-                           "--rate", "0.5"], tmp_path)
-    assert construct <= (8 + 4 + 1) * size + block
+    # frozen column is a view of it); the command peaks before it writes,
+    # while np.partition copies the reliabilities
+    peak, held, added = _cli_write_peaks(["construct", "--n", str(n), "--p", "0.5",
+                                          "--delta", "1e-6", "--rate", "0.5"], tmp_path,
+                                         monkeypatch)
+    assert held <= (8 + 4 + 1) * size + block and added <= block
+    assert peak <= 16 * size + block
 
 
 def _parse_output(parser, argv, capsys):

@@ -358,6 +358,11 @@ def _sim_config(trials, seed=0):
 # each integer where it enters: (the call, an integer it takes, a non-integer)
 @pytest.mark.parametrize("call, count, bad", [
     pytest.param(lambda v: evolve_all(v, 0.5, FaultSpec()), 2, 2.5, id="evolve_all-n"),
+    # n is checked before effective_steps compares it with unprotected_steps
+    pytest.param(lambda v: evolve_all(v, 0.5, FaultSpec(unprotected_steps=1)), 2, 2.5,
+                 id="evolve_all-n-fixed-steps"),
+    pytest.param(lambda v: FaultSpec.from_protected_levels(v, 2, 0.1), 4, 4.0,
+                 id="from_protected_levels-n"),
     pytest.param(lambda v: construct_code(2, 0.5, FaultSpec(), v), 2, 2.5,
                  id="construct_code-k"),
     pytest.param(lambda v: design_code(np.array([0.1, 0.2, 0.3, 0.4]), v), 2, 2.0,

@@ -19,7 +19,7 @@ node update is a few bitwise operations on contiguous rows. Each tree
 level holds only the block the current bit is in (see _decode_batch). It
 reads the channel as an erasure mask plus the codeword bits. Under genie
 feedback every known message is correct, so a genie decode carries the
-erased bits alone. encode runs its butterfly on the same packed planes.
+erased bits alone. encode runs the same butterfly, one byte per bit.
 
 Both correlation modes run one schedule on one layout; the mode picks
 only which tree levels each bit recomputes (see _decode_batch). That
@@ -73,19 +73,19 @@ def encode(u) -> np.ndarray:
     blocks first, so that channel index 1 carries the all-check decoding
     tree. The transform is an involution: encode(encode(u)) == u.
 
-    Accepts a batch: the transform applies along the last axis. The words
-    are packed once into bit planes (see _pack_frames), the butterfly runs
-    on them, and the result is unpacked; a 2-D batch comes back in
-    column-major (Fortran) order.
+    Accepts a batch: the transform applies along the last axis (a 0-d u
+    raises ValueError). The butterfly runs on a positions-major copy, one
+    byte per bit, and the result is a new C-ordered int8 array.
     """
     arr = _as_bit_array(u, "u")
+    if arr.ndim == 0:
+        raise ValueError("u must have at least one axis")
     length = arr.shape[-1]
     if length == 0 or length & (length - 1):
         raise ValueError(f"length must be a power of two, got {length}")
-    frames = arr.reshape(-1, length)
-    planes = _pack_frames(frames)
-    _polar_transform(planes)
-    return _unpack_frames(planes, frames.shape[0]).view(np.int8).reshape(arr.shape)
+    rows = np.array(arr.reshape(-1, length).T, order="C")  # a copy, even of one word
+    _polar_transform(rows)
+    return np.ascontiguousarray(rows.T).reshape(arr.shape)
 
 
 def transmit_bec(x, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -120,6 +120,7 @@ class DecodeResult:
 
 
 _PACK_BYTES = 1 << 16  # scratch bytes per buffer while packing
+_DRAW_BLOCK = 8192  # uniforms (raw 64-bit words) per draw call
 
 
 def _pack_frames(cells: np.ndarray) -> np.ndarray:
@@ -158,21 +159,17 @@ def _pack_frames(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unpack_frames(planes: np.ndarray, batch: int) -> np.ndarray:
-    """Inverse of _pack_frames: (W, nbytes) planes to (batch, W) uint8 0/1 cells."""
-    return np.unpackbits(planes.T, axis=0, count=batch, bitorder="little")
-
-
 def _polar_transform(planes: np.ndarray) -> None:
-    """Run encode's butterfly in place on (N, nbytes) positions-major planes.
+    """Run encode's butterfly in place on the rows of an (N, width) array.
 
     Each stage XORs the right half of every block of 2w rows into its left
-    half: one operation over contiguous rows.
+    half: one operation over contiguous rows, which may be packed bit
+    planes or one byte per bit.
     """
-    size, nbytes = planes.shape
+    size, width = planes.shape
     w = 1
     while w < size:
-        blocks = planes.reshape(size // (2 * w), 2 * w, nbytes)
+        blocks = planes.reshape(size // (2 * w), 2 * w, width)
         blocks[:, :w] ^= blocks[:, w:]
         w *= 2
 
@@ -245,10 +242,11 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     The kernel works on packed bit planes of shape (rows, ceil(B/8))
     uint8, positions-major: bit k of byte j in row i belongs to frame
     8j + k, so every tree block is a contiguous run of rows and one
-    bitwise op updates eight frames per byte. Without the genie a message
-    is two planes: E (erased) and S (sign, 1 for -infinity). The sign of
-    an erased message is don't-care; a decision reads S & ~E. With u the
-    partial sums of the left sibling block:
+    bitwise op updates eight frames per byte; for a batch of one, every
+    plane is just the frame's 0/1 bytes, one per row. Without the genie a
+    message is two planes: E (erased) and S (sign, 1 for -infinity). The
+    sign of an erased message is don't-care; a decision reads S & ~E. With
+    u the partial sums of the left sibling block:
 
         f node:  E = El | Er                 S = Sl ^ Sr
         g node:  t = Sl ^ u ^ Sr             S = Sr ^ (Er & t)
@@ -407,13 +405,17 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
     if slots:
         if rng is None:
             raise ValueError("an rng is required when fault injection is active")
-        hits = _pack_frames(rng.random((1, slots)) < fault.delta)
-    codeword = None if genie else _pack_frames((y_arr < 0).reshape(1, code.N))
+        # one byte per slot, drawn in blocks that continue one stream
+        hits = np.empty((slots, 1), dtype=np.uint8)
+        for pos in range(0, slots, _DRAW_BLOCK):
+            np.less(rng.random(min(_DRAW_BLOCK, slots - pos)), fault.delta,
+                    out=hits[pos:pos + _DRAW_BLOCK, 0])
+    codeword = None if genie else (y_arr < 0).view(np.uint8).reshape(code.N, 1)
     planes = _decode_batch(erased.reshape(1, code.N), code.frozen_mask, fault, mode,
                            genie, codeword, hits)
-    erased_full = _unpack_frames(planes[0], 1)[0].view(bool)
+    erased_full = (planes[0][:, 0] & 1).view(bool)
     # every known genie decision is the sent bit; otherwise it reads S & ~E
-    bits = sent if genie else _unpack_frames(planes[1], 1)[0].view(np.int8)
+    bits = sent if genie else (planes[1][:, 0] & 1).view(np.int8)
     info = ~code.frozen_mask
     erased_info = erased_full[info]
     u_hat = np.where(erased_info, np.int8(ERASED_BIT), bits[info])

@@ -48,9 +48,9 @@ def index_to_path(i: int, n: int) -> tuple[int, ...]:
     transform applied to the channel erasure probability, leaf side first:
     0 = check node, 1 = variable node.
     """
-    if n < 0:
+    if _require_integer(n, "n") < 0:
         raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if not 1 <= i <= 2**n:
+    if not 1 <= _require_integer(i, "i") <= 2**n:
         raise ValueError(f"index must lie in 1..{2**n}, got {i}")
     return tuple((i - 1 >> (n - 1 - j)) & 1 for j in range(n))
 
@@ -296,12 +296,9 @@ def pe_counts(n: int, n_p: int) -> PECounts:
     starting from the root hardens 2**n_p - 1 of them. With
     n_p = (n + 1) - n_u the protected fraction tends to 2**-n_u as n grows.
     """
-    if _require_integer(n, "n") < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
-        raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
+    FaultSpec.from_protected_levels(n, n_p, 0.0)  # the one check of n and n_p
     total = 2 ** (n + 1) - 1
-    protected = 2**n_p - 1 if n_p > 0 else 0
+    protected = 2**n_p - 1
     return PECounts(total=total, protected=protected, fraction=protected / total)
 
 

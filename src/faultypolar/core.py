@@ -137,9 +137,10 @@ class FaultSpec:
 
         The tree of a code of exponent n has n + 1 levels of processing
         elements; protecting n_p of them starting from the root leaves
-        n_u = (n + 1) - n_p unprotected.
+        n_u = (n + 1) - n_p unprotected. pe_counts checks n and n_p here.
         """
-        _require_integer(n, "n")
+        if _require_integer(n, "n") < 0:
+            raise ValueError(f"exponent n must be nonnegative, got {n}")
         if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
             raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
         return cls(delta=delta, unprotected_steps=(n + 1) - n_p,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fer_proxy
-from .codec import _decode_batch, _polar_transform, fault_slot_count
+from .codec import _DRAW_BLOCK, _decode_batch, _polar_transform, fault_slot_count
 from .codec import encode  # noqa: F401  (perfbench times montecarlo.encode)
 from .construction import CodeConstruction
 from .core import FaultSpec, _require_integer, _require_unit_interval
@@ -51,7 +51,6 @@ TRIAL_BYTES_CEILING = 256 * 2**20  # memory one trial of a chunk may allocate
 
 _CHUNK_BYTES = 64 * 2**20
 _MAX_CHUNK = 20_000
-_DRAW_BLOCK = 8192  # raw 64-bit words per draw call
 
 
 def substream(master_seed: int, trial: int, role: int) -> np.random.Generator:

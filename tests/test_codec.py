@@ -1,6 +1,7 @@
 """Encoder, channel, the reference node operations, and the faulty SC decoder."""
 
 import itertools
+import tracemalloc
 from enum import IntEnum
 
 import numpy as np
@@ -16,7 +17,7 @@ from faultypolar import (
     transmit_bec,
 )
 from faultypolar import codec
-from faultypolar.codec import _decode_batch, _pack_frames, _unpack_frames, fault_slot_count
+from faultypolar.codec import _decode_batch, _pack_frames, fault_slot_count
 
 
 class TernaryLLR(IntEnum):
@@ -75,9 +76,9 @@ def _decided(planes, batch, frozen_mask, true_u=None):
     the frozen ones. A decision that is not erased reads the sign plane or,
     under the genie (E plane alone), the true word true_u.
     """
-    erased = _unpack_frames(planes[0], batch).view(bool)
+    erased = np.unpackbits(planes[0].T, axis=0, count=batch, bitorder="little").view(bool)
     if len(planes) == 2:
-        bits = _unpack_frames(planes[1], batch).view(np.int8)
+        bits = np.unpackbits(planes[1].T, axis=0, count=batch, bitorder="little").view(np.int8)
     else:
         bits = np.asarray(true_u, dtype=np.int8)
     u_hat = np.where(erased, np.int8(ERASED_BIT), bits)
@@ -128,6 +129,23 @@ def test_encode_rejects_bad_input():
         encode([0, 2, 1, 1])
     with pytest.raises(ValueError):
         encode([0.0, 0.5])
+    for scalar in (1, np.int8(0)):  # a 0-d word has no last axis to transform
+        with pytest.raises(ValueError, match="axis"):
+            encode(scalar)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (5, 16)])
+def test_encode_returns_a_new_c_ordered_word(shape, order):
+    # the positions-major copy of one C-ordered word would be a view of it
+    # without an explicit copy, and the butterfly would write the argument
+    u = np.asarray(np.random.default_rng(8).integers(0, 2, shape, dtype=np.int8),
+                   order=order)
+    before = u.copy()
+    x = encode(u)
+    assert np.array_equal(u, before)
+    assert x.shape == u.shape and x.dtype == np.int8 and x.flags.c_contiguous
+    assert np.array_equal(x, (u @ kron_transform(4)) % 2)
 
 
 def test_transmit_bec_endpoints():
@@ -317,6 +335,42 @@ def test_sc_decode_validation():
         sc_decode(np.zeros(4, np.int8), code, fault)  # rng required
     with pytest.raises(ValueError):
         sc_decode(np.zeros(4, np.int8), code, FaultSpec(), genie=True)
+
+
+def _received_frame(n, fault):
+    """A rate-1/2 code, the all-zero word through a BEC(0.3), and the rng."""
+    code = construct_code(n, 0.3, fault, 1 << (n - 1))
+    rng = np.random.default_rng(17)
+    return code, transmit_bec(np.zeros(code.N, np.int8), 0.3, rng), rng
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_sc_decode_hit_blocks_continue_one_stream(monkeypatch, mode):
+    # the hits are drawn in blocks; any block size gives the decode of one draw
+    fault = FaultSpec(delta=0.05, correlation_mode=mode)
+    results = []
+    for block in (codec._DRAW_BLOCK, 5, 64):
+        monkeypatch.setattr(codec, "_DRAW_BLOCK", block)
+        code, y, rng = _received_frame(5, fault)
+        results.append(sc_decode(y, code, fault, rng=rng))
+    for other in results[1:]:
+        assert np.array_equal(other.u_hat, results[0].u_hat)
+        assert np.array_equal(other.decision_erased, results[0].decision_erased)
+
+
+def test_sc_decode_holds_one_byte_per_fault_slot():
+    n = 10
+    fault = FaultSpec(delta=1e-3)
+    slots = fault_slot_count(n, fault, fault.correlation_mode)
+    assert slots == 1_047_552  # independent_tree: N * (N - 1)
+    code, y, rng = _received_frame(n, fault)
+    tracemalloc.start()
+    try:
+        sc_decode(y, code, fault, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= slots + 2**20
 
 
 def test_sc_decode_genie_rejects_an_inconsistent_frame():
@@ -567,7 +621,8 @@ def _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, case, genie=
     if not genie:
         signs = [planes[1][info] & ~planes[0][info] for planes in (full, skipped)]
         assert np.array_equal(*signs), case
-    erased = _unpack_frames(full[0], batch).view(bool)[:, info]
+    erased = np.unpackbits(full[0].T, axis=0, count=batch, bitorder="little").view(bool)
+    erased = erased[:, info]
     assert counted[0][1:] == (erased.any(axis=1).sum(), erased.sum()), case
 
 

@@ -347,6 +347,20 @@ def test_pe_counts():
         pe_counts(4, 6)
     with pytest.raises(ValueError, match="exponent"):
         pe_counts(-1, 0)
+    assert pe_counts(0, 0) == (1, 0, 0.0) and pe_counts(0, 1) == (1, 1, 1.0)
+
+
+@pytest.mark.parametrize("n, n_p", [(-1, 0), (-3, -1), (4, -1), (4, 6), (0, 2)])
+def test_protection_convention_refuses_alike(n, n_p):
+    # the fault spec and the PE count are two halves of one convention:
+    # each refuses the same (n, n_p), with the same message
+    messages = []
+    for call in (lambda: FaultSpec.from_protected_levels(n, n_p, 0.1),
+                 lambda: pe_counts(n, n_p)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def _sim_config(trials, seed=0):
@@ -379,6 +393,8 @@ def _sim_config(trials, seed=0):
                  id="rate_loss_sweep"),
     pytest.param(lambda v: pe_counts(4, v), 1, 1.5, id="pe_counts-n_p"),
     pytest.param(lambda v: pe_counts(v, 1), 4, 4.0, id="pe_counts-n"),
+    pytest.param(lambda v: index_to_path(v, 2), 1, 1.5, id="index_to_path-i"),
+    pytest.param(lambda v: index_to_path(1, v), 2, 2.5, id="index_to_path-n"),
     pytest.param(_sim_config, 10, 10.5, id="SimConfig-trials"),
     pytest.param(lambda v: _sim_config(10, seed=v), 1, 1.5, id="SimConfig-master_seed"),
     pytest.param(lambda v: run_simulation(_sim_config(10), threads=v), 1, 1.5,

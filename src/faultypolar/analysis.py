@@ -115,25 +115,24 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
     """One FER-proxy-vs-rate series per protected level count n_p.
 
     Each n_p maps to n_u = (n + 1) - n_p unprotected transitions, of which
-    min(n_u, n) are faulty; the metadata records the protected PE fraction
-    for each series.
+    fault.effective_steps(n) are faulty; the metadata records the protected
+    PE fraction for each series.
 
     The series of n_p is fer_vs_rate_sweep under
     FaultSpec.from_protected_levels(n, n_p, delta). Every n_p is checked
     before any density evolution runs, and so is the rate grid, by the
     first fer_vs_rate_sweep. Each distinct faulty-step count is swept
-    once, so repeated n_p values, and n_p = 0 and 1 (both give n faulty
-    steps), share one curve. The sweeps run one after another,
-    so the sweep holds one 2**n buffer at a time.
+    once, one sweep after another (one 2**n buffer at a time): repeated
+    n_p values, n_p = 0 and 1 (n faulty steps each) and, at delta = 0,
+    every n_p (none) share one curve.
     """
     rates = DEFAULT_RATE_GRID if rates is None else tuple(rates)
     n_p_values = tuple(n_p_values)
     if not n_p_values:
         raise ValueError("n_p_values must not be empty")
     faults = {n_p: FaultSpec.from_protected_levels(n, n_p, delta) for n_p in n_p_values}
-    curves = {}
+    curves, fractions = {}, {}
     series: dict[str, np.ndarray] = {}
-    fractions = {}
     for n_p, fault in faults.items():
         steps = fault.effective_steps(n)
         if steps not in curves:

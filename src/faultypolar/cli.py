@@ -10,8 +10,8 @@ header, columns); one runner builds the manifest and the fault model,
 computes the tables, and only then writes them. Flags that several
 commands share are declared once, in _FLAGS.
 
-Exit codes: 0 success, 2 usage error, 3 resource limit, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 usage error (an output that cannot be written
+included), 3 resource limit, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .analysis import (
     staircase,
 )
 from .analysis import fer_proxy as _fer_proxy
-from .construction import _code_dimension, construct_code
+from .construction import _code_dimension, _require_exponent, construct_code
 from .core import INDEPENDENT_TREE, FaultSpec
 from .errors import InternalInvariantError, ResourceLimitError
 from .montecarlo import SimConfig, run_simulation
@@ -156,22 +156,20 @@ def _run(args) -> int:
     them are computed before the output directory is made, so a usage
     error leaves no file behind.
     """
-    k = _code_dimension(args.rate, 2**args.n) if hasattr(args, "rate") else None
     fault = _fault(args)
     entries = _manifest_base(args)
-    if k is not None:
-        entries["k"] = k
+    k = None
+    if hasattr(args, "rate"):  # n is checked before 2**n is built
+        k = entries["k"] = _code_dimension(args.rate, 2**_require_exponent(args.n))
     if args.manifest_only:
         _write_manifest(None, entries)
         return EXIT_OK
     tables = args.tables(args, fault, k)
     out = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or ".")
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, header, columns in tables:
-        path = out / name
+    outputs = [out / name for name, _, _ in tables]
+    for path, (_, header, columns) in zip(outputs, tables):
         _write_csv(path, header, columns)
-        outputs.append(path)
     entries["outputs"] = ",".join(str(p) for p in outputs)
     manifest_name = args.label.replace(" ", "_").replace("-", "_") + ".manifest"
     _write_manifest(out / manifest_name, entries)
@@ -347,7 +345,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the outputs cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -7,10 +7,8 @@ failure mode.
 
 Decoder faults erase the output of a node computation with probability
 delta; messages that are already erased stay erased, and channel values are
-never fault-injected. Protection applies to whole tree levels counted from
-the root: with n_u unprotected transitions, the messages produced at tree
-levels 1..min(n_u, n) (leaf side) receive faults and the levels above do
-not, matching the construction module's evolution.
+never fault-injected. Which tree levels receive faults is the rule of
+FaultSpec.effective_steps, the one density evolution follows.
 
 The batched decoder behind sc_decode and the simulations computes the
 node updates on these values bitsliced: each message is an erased bit and
@@ -175,15 +173,13 @@ def _polar_transform(planes: np.ndarray) -> None:
 
 
 def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
-    """Fault draws one decode consumes per frame."""
-    ueff = fault.effective_steps(n)
-    if fault.delta == 0 or ueff == 0:
-        return 0
+    """Fault draws one decode consumes per frame: N*s in shared mode and
+    N*(N - (N >> s)) in independent_tree, for s = fault.effective_steps(n)."""
+    steps = fault.effective_steps(n)
     size = 1 << n
     if mode == SHARED:
-        return size * ueff
-    per_bit = size - (size >> ueff)
-    return size * per_bit
+        return size * steps
+    return size * (size - (size >> steps))
 
 
 def _block_any(leaves: np.ndarray, n: int) -> list[np.ndarray]:
@@ -280,7 +276,7 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     if height != slots:
         raise InternalInvariantError(f"fault hit plane has {height} rows, the schedule "
                                      f"reads {slots}")
-    lo = n - fault.effective_steps(n) if slots else n  # the lowest faulty level
+    lo = n - fault.effective_steps(n)  # the lowest faulty level
 
     signs = not genie
     channel = (_pack_frames(erased),) + ((codeword,) if signs else ())

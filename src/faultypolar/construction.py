@@ -4,12 +4,11 @@ The recursion pairs a parent erasure probability e with children
 (t_minus(e), t_plus(e)), so channel index 1 is the all-check (least
 reliable) path and index N the all-variable (most reliable) one. Transform
 steps are counted from the leaf (channel) side: step j of an index path is
-faulty when j < min(n_u, n).
+faulty when j < fault.effective_steps(n), the rule FaultSpec states.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -134,19 +133,28 @@ def _add_fault(out: np.ndarray, delta: float, scratch: np.ndarray) -> None:
     np.add(out, lost, out=out)
 
 
-def _levels(n: int, p, delta: float, faulty_steps: int, ordered: bool = True):
+def _require_exponent(n: int) -> int:
+    """n, once it is a nonnegative integer no larger than DEFAULT_MAX_EXPONENT."""
+    if _require_integer(n, "n") < 0:
+        raise ValueError(f"exponent n must be nonnegative, got {n}")
+    if n > DEFAULT_MAX_EXPONENT:
+        raise ResourceLimitError(f"n={n} exceeds the memory budget "
+                                 f"(max exponent {DEFAULT_MAX_EXPONENT})")
+    return n
+
+
+def _levels(n: int, p, fault: FaultSpec, ordered: bool = True):
     """Yield the n + 1 levels of an n-step recursion, from the root [p].
 
     The density-evolution kernel of this package, and its one entry: it
-    checks n and p, and refuses n above DEFAULT_MAX_EXPONENT before it
-    allocates the buffer of 2**n doubles. Each step grows the level in
-    place inside that buffer, so every yielded level is a prefix view of
-    it that stays valid only until the next one is requested. Of the
-    steps, the first faulty_steps are faulty. Each cell gets the
-    arithmetic of the core transfer maps, in the same order, without their
-    per-call checks: callers check delta once (every level stays in
-    [0, 1] when p and delta lie there). Between levels the generator holds
-    no scratch.
+    checks n (_require_exponent) and p before it allocates the buffer of
+    2**n doubles. Each step grows the level in place inside that buffer,
+    so every yielded level is a prefix view of it that stays valid only
+    until the next one is requested. The first fault.effective_steps(n)
+    steps are faulty. Each cell gets the arithmetic of the core transfer
+    maps, in the same order, without their per-call checks: FaultSpec has
+    checked delta (every level stays in [0, 1] when p and delta lie
+    there). Between levels the generator holds no scratch.
 
     ordered picks _grow's layout. Natural order is for callers that index
     the values or average them: evolve_all by default (construct and
@@ -156,18 +164,13 @@ def _levels(n: int, p, delta: float, faulty_steps: int, ordered: bool = True):
     sort pass ordered=False through evolve_all: fer_vs_rate_sweep (and so
     protection_sweep) and staircase.
     """
-    if _require_integer(n, "n") < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if n > DEFAULT_MAX_EXPONENT:
-        raise ResourceLimitError(
-            f"n={n} exceeds the memory budget (max exponent {DEFAULT_MAX_EXPONENT})"
-        )
+    faulty_steps = fault.effective_steps(_require_exponent(n))
     p = _channel_erasure(p)
     buf = np.empty(2**n, dtype=np.float64)
     buf[0] = p
     yield buf[:1]
     for j in range(n):
-        _grow(buf, 1 << j, delta, j < faulty_steps, ordered)
+        _grow(buf, 1 << j, fault.delta, j < faulty_steps, ordered)
         yield buf[:2 << j]
 
 
@@ -196,16 +199,14 @@ def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.n
     ResourceLimitError
         If n exceeds DEFAULT_MAX_EXPONENT (2**24 doubles, 128 MiB).
     """
-    _require_integer(n, "n")  # before effective_steps compares it
-    for z in _levels(n, p, fault.delta, fault.effective_steps(n), ordered):
+    for z in _levels(n, p, fault, ordered):
         pass
     return z
 
 
 def _code_dimension(rate, size: int) -> int:
-    """k = round(rate * size); a non-finite rate is a ValueError, not a crash."""
-    if not math.isfinite(rate):
-        raise ValueError(f"rate must be finite, got {rate!r}")
+    """k = round(rate * size); a rate outside [0, 1] is a ValueError, not a crash."""
+    _require_unit_interval(rate, "rate")
     return round(rate * size)
 
 
@@ -253,7 +254,7 @@ def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:
     the per-step mean is affine in eps, though its last digits differ.
     """
     top = max((s for s in steps if s <= DEFAULT_ENUMERATION_CAP), default=0)
-    means = [float(np.mean(z)) for z in _levels(top, p, delta, top)]
+    means = [float(np.mean(z)) for z in _levels(top, p, FaultSpec(delta=delta))]
     return [means[s] if s <= DEFAULT_ENUMERATION_CAP
             else 1.0 - (1.0 - p) * (1.0 - delta) ** s for s in steps]
 

@@ -94,7 +94,7 @@ class FaultSpec:
     unprotected_steps : int or None
         Number of decoding-tree transitions, counted from the leaf (channel)
         side, at which faults apply. None means every transition is faulty.
-        For a code of exponent n the effective count is min(value, n).
+        effective_steps(n) gives the count for a code of exponent n.
     correlation_mode : str
         "shared": intermediate decoder messages are computed once and reused
         across bit decisions, as a hardware decoder does.
@@ -125,7 +125,13 @@ class FaultSpec:
             )
 
     def effective_steps(self, n: int) -> int:
-        """Number of faulty transitions when applied to a code of exponent n."""
+        """Faulty transitions s in a code of exponent n: the one protection rule.
+
+        s = min(unprotected_steps, n) (n for None), and 0 when delta is 0.
+        Density evolution faults its steps 0..s - 1 from the channel side,
+        and the decoder the levels n - 1 down to n - s those steps produce."""
+        if self.delta == 0:
+            return 0
         if self.unprotected_steps is None:
             return n
         return min(int(self.unprotected_steps), n)

@@ -225,9 +225,9 @@ def test_rate_loss_sweep_evolves_a_repeated_delta_once(monkeypatch):
     recursions = []
     levels = construction._levels
 
-    def counting(n, p, delta, faulty_steps):
-        recursions.append(delta)
-        return levels(n, p, delta, faulty_steps)
+    def counting(n, p, fault):
+        recursions.append(fault.delta)
+        return levels(n, p, fault)
 
     monkeypatch.setattr(construction, "_levels", counting)
     result = rate_loss_sweep(0.5, (1e-3, 1e-4, 0.001), range(1, 6))
@@ -316,6 +316,23 @@ def test_protection_sweep_is_one_fer_rate_sweep_per_faulty_step_count(monkeypatc
     with pytest.raises(ValueError, match="n_p"):
         protection_sweep(8, 0.5, 1e-3, [3, 10])
     assert sweeps == []
+
+
+def test_protection_sweep_at_delta_zero_is_one_fer_rate_sweep(monkeypatch):
+    # a fault that never fires faults no step, so every n_p shares one curve
+    sweeps = []
+    sweep = analysis.fer_vs_rate_sweep
+
+    def counting(n, p, fault, rates=None):
+        sweeps.append(fault.unprotected_steps)
+        return sweep(n, p, fault, rates)
+
+    monkeypatch.setattr(analysis, "fer_vs_rate_sweep", counting)
+    result = protection_sweep(8, 0.5, 0.0, range(10))
+    assert sweeps == [9]
+    expected = fer_vs_rate_sweep(8, 0.5, FaultSpec()).series["proxy_raw"]
+    for n_p in range(10):
+        assert result.series[f"proxy_raw_np{n_p}"].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])

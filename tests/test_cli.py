@@ -117,7 +117,7 @@ def test_internal_invariant_error_exit_code(tmp_path, monkeypatch, capsys):
 ])
 def test_non_finite_rate_is_usage_error(args, tmp_path, capsys):
     assert run_cli(args, tmp_path) == 2
-    assert "rate must be finite" in capsys.readouterr().err
+    assert "rate must lie in [0, 1]" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -552,6 +552,48 @@ COMMAND_LINES = [
     ["sweep", "rate-loss", "--deltas", "1e-3", "--nu", "1..3"],
     ["sweep", "protection", "--n", "5", "--delta", "1e-3", "--np", "0..2"],
 ]
+
+
+def _set(args, flag, value):
+    """args with the value of `flag` replaced, or the flag appended."""
+    if flag not in args:
+        return [*args, flag, value]
+    at = args.index(flag) + 1
+    return [*args[:at], value, *args[at + 1:]]
+
+
+# (args, exit code, --out-dir is an existing file): each bad input under
+# every command that takes it, as one line and an exit code, never a traceback
+BAD_INPUTS = [
+    # an exponent above the cap, refused before 2**n is built
+    *[(_set(args, "--n", n), 3, False) for n in ("1030", str(10**6))
+      for args in [CONSTRUCT, SIMULATE, [*CONSTRUCT, "--manifest-only"],
+                   [*SIMULATE, "--manifest-only"],
+                   *(line for line in COMMAND_LINES[2:] if "--n" in line)]],
+    # a finite rate whose rate*N overflows
+    *[(_set(args, flag, value), 2, False)
+      for args, flag, value in [(CONSTRUCT, "--rate", "1e308"),
+                                ([*CONSTRUCT, "--manifest-only"], "--rate", "1e308"),
+                                (SIMULATE, "--rate", "1e308"),
+                                ([*SIMULATE, "--manifest-only"], "--rate", "1e308"),
+                                (COMMAND_LINES[3], "--rates", "0.5,1e308"),
+                                (COMMAND_LINES[5], "--rates", "0.5,1e308")]],
+    # an output directory that cannot be made
+    *[(args, 2, True) for args in COMMAND_LINES],
+]
+
+
+@pytest.mark.parametrize("args, code, out_is_file", BAD_INPUTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_input_is_one_line_and_no_output(args, code, out_is_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("")
+    assert main([*args, "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert err.startswith("error: " if code == 2 else "resource limit: "), err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("args", COMMAND_LINES)

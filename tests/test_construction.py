@@ -25,6 +25,7 @@ from faultypolar import (
     rate_loss_sweep,
     run_simulation,
 )
+from faultypolar.codec import _decode_batch, fault_slot_count
 from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _grow, _levels
 
 
@@ -209,7 +210,8 @@ def test_levels_in_place_equal_fresh_levels_bitwise(start, delta, ordered):
             for j, ref in enumerate(refs):
                 _grow(buf, start << j, delta, j < faulty_steps, ordered)
                 assert buf[:ref.size].tobytes() == ref.tobytes(), (steps, faulty_steps, j)
-            levels = zip(_levels(steps, z0[0], delta, faulty_steps, ordered),
+            fault = FaultSpec(delta=delta, unprotected_steps=faulty_steps)
+            levels = zip(_levels(steps, z0[0], fault, ordered),
                          _reference_levels(z0[:1], steps, delta, faulty_steps, ordered),
                          strict=True)
             for j, (level, ref) in enumerate(levels):
@@ -362,6 +364,56 @@ def test_protection_convention_refuses_alike(n, n_p):
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
 
+
+def _schedule_hit_rows(n, steps, mode):
+    """Hit rows one decode reads, by walking the schedule: bit i recomputes
+    its levels from its top one down, and each level L >= n - steps adds
+    its 2**L rows."""
+    rows = 0
+    for i in range(2**n):
+        top = n - 1 if mode == "independent_tree" or i == 0 else (i & -i).bit_length() - 1
+        rows += sum(2**level for level in range(top, -1, -1) if level >= n - steps)
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+@pytest.mark.parametrize("n", range(11))
+def test_protection_convention_agrees_everywhere(n, mode):
+    # FaultSpec.effective_steps is the one rule: density evolution, the
+    # decoder's fault hits and its slot count all read the same s, at
+    # delta = 0 (s = 0) as elsewhere
+    size, p = 2**n, 0.4
+    frozen = np.arange(size) < size // 2
+    for delta in (0.0, 0.3):
+        by_nu = {FaultSpec(delta, nu, mode): None for nu in (None, *range(n + 2))}
+        by_np = {FaultSpec.from_protected_levels(n, n_p, delta, mode): n_p
+                 for n_p in range(n + 2)}
+        # from_protected_levels gives the nu specs again; merged, each spec
+        # is checked once, and with its n_p where it has one
+        for fault, n_p in {**by_nu, **by_np}.items():
+            steps = fault.effective_steps(n)
+            nu = fault.unprotected_steps
+            assert steps == (0 if delta == 0 else n if nu is None else min(nu, n))
+            for ordered in (True, False):
+                *_, ref = _reference_levels(np.array([p]), n, delta, steps, ordered)
+                assert evolve_all(n, p, fault, ordered).tobytes() == ref.tobytes()
+            slots = fault_slot_count(n, fault, mode)
+            assert slots == _schedule_hit_rows(n, steps, mode), (fault, steps)
+            # p = 0 and every hit set: the faulted levels erase all below them
+            for genie in (False, True):
+                decision = _decode_batch(np.zeros((8, size), dtype=bool), frozen, fault,
+                                         mode, genie, np.zeros((size, 1), dtype=np.uint8),
+                                         np.full((slots, 1), 255, dtype=np.uint8))
+                assert (decision[0] == (255 if steps else 0)).all(), (fault, genie)
+            if n_p is None or delta == 0:
+                continue
+            protected = pe_counts(n, n_p).protected
+            if n_p >= 1:
+                assert protected == 2**(n + 1 - steps) - 1, (n, n_p)
+            else:
+                # the root level, which no step faults, is charged no PE at
+                # n_p = 0: the open choice of ROADMAP item 8's second step
+                assert (protected, 2**(n + 1 - steps) - 1) == (0, 1)
 
 def _sim_config(trials, seed=0):
     fault = FaultSpec()

@@ -31,11 +31,13 @@ from .analysis import (
     rate_loss_sweep,
     staircase,
 )
+from .analysis import _code_dimensions, _protection_faults, _rate_loss_inputs
 from .analysis import fer_proxy as _fer_proxy
-from .construction import _code_dimension, _require_exponent, construct_code
-from .core import INDEPENDENT_TREE, FaultSpec
+from .construction import _code_dimension, _require_dimension, _require_exponent
+from .construction import construct_code
+from .core import INDEPENDENT_TREE, FaultSpec, _require_unit_interval
 from .errors import InternalInvariantError, ResourceLimitError
-from .montecarlo import SimConfig, run_simulation
+from .montecarlo import SimConfig, _require_limits, _require_trials, run_simulation
 
 OUTDIR_ENV = "FAULTYPOLAR_OUTDIR"
 
@@ -152,15 +154,34 @@ def _manifest_base(args) -> dict:
 def _run(args) -> int:
     """Check the inputs, compute every table, then write them and the manifest.
 
+    Every check the command's run makes on its arguments comes first, by
+    the helper the run calls, so --manifest-only refuses what the run
+    refuses and nothing is computed before a refusal: the fault model
+    (_fault), n (before 2**n is built), p, or all of sweep rate-loss's
+    inputs, the k of --rate and of each --rates value, sweep protection's
+    --np list, and simulate's trials, seed and resource limits.
+
     A command's tables are (file name, header, columns) triples. All of
     them are computed before the output directory is made, so a usage
     error leaves no file behind.
     """
     fault = _fault(args)
     entries = _manifest_base(args)
+    size = 2**_require_exponent(args.n) if hasattr(args, "n") else None
+    if hasattr(args, "deltas"):
+        _rate_loss_inputs(args.p, args.deltas, args.nu)
+    else:
+        _require_unit_interval(args.p, "p")
     k = None
-    if hasattr(args, "rate"):  # n is checked before 2**n is built
-        k = entries["k"] = _code_dimension(args.rate, 2**_require_exponent(args.n))
+    if hasattr(args, "rate"):
+        k = entries["k"] = _require_dimension(_code_dimension(args.rate, size), size)
+    if hasattr(args, "rates"):
+        _code_dimensions(args.rates, size)
+    if fault is None and hasattr(args, "np_levels"):  # sweep protection's --np list
+        _protection_faults(args.n, args.delta, args.np_levels)
+    if hasattr(args, "trials"):
+        _require_trials(args.trials, args.seed)
+        _require_limits(args.n, fault, args.trials, args.genie)
     if args.manifest_only:
         _write_manifest(None, entries)
         return EXIT_OK

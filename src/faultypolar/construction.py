@@ -210,6 +210,13 @@ def _code_dimension(rate, size: int) -> int:
     return round(rate * size)
 
 
+def _require_dimension(k: int, size: int) -> int:
+    """k, once it is an integer in 1..size - 1 (design_code, construct_code, the CLI)."""
+    if not 0 < _require_integer(k, "k") < size:
+        raise ValueError(f"k must lie in 1..{size - 1}, got {k}")
+    return k
+
+
 def design_code(reliabilities, k: int) -> np.ndarray:
     """Choose the k most reliable channels as the information set.
 
@@ -222,9 +229,7 @@ def design_code(reliabilities, k: int) -> np.ndarray:
     A NaN reliability among the k smallest is refused with ValueError.
     """
     z = np.asarray(reliabilities, dtype=np.float64)
-    n_total = z.size
-    if not 0 < _require_integer(k, "k") < n_total:
-        raise ValueError(f"k must lie in 1..{n_total - 1}, got {k}")
+    _require_dimension(k, z.size)
     kth = np.partition(z, k - 1)[k - 1]
     if np.isnan(kth):
         raise ValueError("reliabilities must not be NaN")
@@ -235,17 +240,19 @@ def design_code(reliabilities, k: int) -> np.ndarray:
     return np.logical_not(info, out=info)
 
 
-def _checked(p, delta, steps: int) -> tuple[float, float, list[int]]:
-    """(p as a float, delta, [steps]) once p, delta and steps pass the checks."""
+def _checked(p, deltas, steps, name: str = "steps") -> tuple[float, list[int]]:
+    """(p as a float, [steps]) once p, every delta and every step count pass."""
     p = _channel_erasure(p)
-    _require_unit_interval(delta, "delta")
-    if _require_integer(steps, "steps") < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    return p, delta, [steps]
+    for delta in deltas:
+        _require_unit_interval(delta, "delta")
+    steps = [int(_require_integer(s, name)) for s in steps]
+    if min(steps, default=0) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {min(steps)}")
+    return p, steps
 
 
 def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:
-    """E[eps_s] after s all-faulty transitions, for each s in steps, unchecked.
+    """E[eps_s] after s all-faulty transitions for each s; callers run _checked on p, delta, s.
 
     Up to DEFAULT_ENUMERATION_CAP the mean is over all 2**s paths: level s
     of one all-faulty recursion that stops at the largest such s, averaged
@@ -259,12 +266,6 @@ def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:
             else 1.0 - (1.0 - p) * (1.0 - delta) ** s for s in steps]
 
 
-def _rate_losses(p: float, delta: float, n_u_values: list[int]) -> list[float]:
-    """E[eps_{n_u}] - p for each n_u, unchecked, clamped at 0 (enumeration
-    can leave a negative rounding residue at delta = 0)."""
-    return [max(mean - p, 0.0) for mean in _mean_erasures(p, delta, n_u_values)]
-
-
 def expected_epsilon(p: float, delta: float, steps: int) -> float:
     """Mean erasure probability after `steps` all-faulty transitions.
 
@@ -272,16 +273,17 @@ def expected_epsilon(p: float, delta: float, steps: int) -> float:
     _mean_erasures takes it: enumerated up to DEFAULT_ENUMERATION_CAP
     steps, and above it the closed form 1 - (1 - p)*(1 - delta)**steps.
     """
-    return float(_mean_erasures(*_checked(p, delta, steps))[0])
+    p, steps = _checked(p, [delta], [steps])
+    return float(_mean_erasures(p, delta, steps)[0])
 
 
 def rate_loss(p: float, delta: float, n_u: int) -> float:
     """Capacity lost to n_u unprotected transitions: E[eps_{n_u}] - p.
 
-    E[eps_{n_u}] is expected_epsilon(p, delta, n_u). Nonnegative; a
-    percentage-of-capacity view is rate_loss/(1 - p)*100.
+    E[eps_{n_u}] is expected_epsilon(p, delta, n_u); clamped at 0 against its
+    rounding at delta = 0. A percentage-of-capacity view is rate_loss/(1 - p)*100.
     """
-    return _rate_losses(*_checked(p, delta, n_u))[0]
+    return max(expected_epsilon(p, delta, n_u) - float(p), 0.0)
 
 
 class PECounts(NamedTuple):
@@ -366,8 +368,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def construct_code(n: int, p: float, fault: FaultSpec, k: int) -> CodeConstruction:
     """Run density evolution and freeze all but the k best channels.
 
-    design_code picks the frozen mask. Raises as evolve_all (n above
-    DEFAULT_MAX_EXPONENT) and design_code do.
+    design_code picks the frozen mask. n and k are checked first; raises as
+    evolve_all (n above DEFAULT_MAX_EXPONENT) and design_code do.
     """
+    _require_dimension(k, 2**_require_exponent(n))
     z = evolve_all(n, p, fault)
     return CodeConstruction(reliabilities=z, frozen_mask=design_code(z, k))

@@ -150,6 +150,31 @@ def _chunk_trials(n: int, slots: int, genie: bool, threads: int = 1) -> int:
     return min(_MAX_CHUNK, max(1, 8 * ((_CHUNK_BYTES // threads - fixed) // group)))
 
 
+def _require_trials(trials: int, master_seed: int) -> None:
+    """The trial and seed rules of a run (SimConfig, and the CLI before it builds a code)."""
+    if _require_integer(trials, "trials") < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= _require_integer(master_seed, "master_seed") < 2**64:
+        raise ValueError("master_seed must be an unsigned 64-bit integer")
+
+
+def _require_limits(n: int, fault: FaultSpec, trials: int, genie: bool) -> int:
+    """One trial's fault slots, once a run of `trials` frames of 2**n positions
+    fits the resource limits (run_simulation, and the CLI before it builds a code)."""
+    if trials > TRIALS_HARD_CAP:
+        raise ResourceLimitError(f"trials={trials} exceeds the hard cap {TRIALS_HARD_CAP}")
+    if trials * 2**n > WORK_BUDGET:
+        raise ResourceLimitError(
+            f"trials * N = {trials * 2**n} exceeds the work budget {WORK_BUDGET}")
+    slots = fault_slot_count(n, fault, fault.correlation_mode)
+    per_trial = _trial_bytes(n, slots, genie=genie)
+    if per_trial > TRIAL_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
+            f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
+    return slots
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation run; the decoder runs in fault.correlation_mode."""
@@ -165,10 +190,7 @@ class SimConfig:
         _require_unit_interval(self.channel_erasure, "channel_erasure")
         if self.code.k == 0:
             raise ValueError("the code has no information bit")
-        if _require_integer(self.trials, "trials") < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= _require_integer(self.master_seed, "master_seed") < 2**64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        _require_trials(self.trials, self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -337,21 +359,9 @@ def run_simulation(config: SimConfig, threads: int = 1) -> SimOutcome:
     chunk is at least one trial, which may exceed its share at large n.
     """
     code = config.code
-    if config.trials > TRIALS_HARD_CAP:
-        raise ResourceLimitError(
-            f"trials={config.trials} exceeds the hard cap {TRIALS_HARD_CAP}")
-    if config.trials * code.N > WORK_BUDGET:
-        raise ResourceLimitError(
-            f"trials * N = {config.trials * code.N} exceeds the work budget {WORK_BUDGET}")
+    slots = _require_limits(code.n, config.fault, config.trials, config.genie)
     if _require_integer(threads, "threads") < 1:
         raise ValueError("threads must be >= 1")
-
-    slots = fault_slot_count(code.n, config.fault, config.fault.correlation_mode)
-    per_trial = _trial_bytes(code.n, slots, genie=config.genie)
-    if per_trial > TRIAL_BYTES_CEILING:
-        raise ResourceLimitError(
-            f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
-            f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     threads = min(threads, _cpu_count())
     chunk_size = _chunk_trials(code.n, slots, config.genie, threads)
     bounds = [(s, min(s + chunk_size, config.trials))

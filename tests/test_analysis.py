@@ -13,6 +13,7 @@ from faultypolar import (
     construct_code,
     erasure_floor,
     evolve_all,
+    expected_epsilon,
     fer_proxy,
     fer_vs_rate_sweep,
     pe_counts,
@@ -22,7 +23,7 @@ from faultypolar import (
     staircase,
 )
 from faultypolar import analysis, construction
-from faultypolar.analysis import _rate_points
+from faultypolar.analysis import _code_dimensions, _rate_points
 
 
 def test_fer_proxy_examples():
@@ -207,7 +208,8 @@ def _protection_reference(n, p, delta, n_p_values, rates=DEFAULT_RATE_GRID):
     for n_p in n_p_values:
         fault = FaultSpec.from_protected_levels(n, n_p, delta)
         z = evolve_all(n, p, fault)
-        ks, realized, proxy = _rate_points(z, rates)
+        ks = _code_dimensions(rates, z.size)
+        realized, proxy = _rate_points(z, ks)
         series[f"proxy_raw_np{n_p}"] = proxy
         series[f"proxy_clamped_np{n_p}"] = np.minimum(proxy, 1.0)
     return {"k": ks, "realized_rate": realized, **series}
@@ -221,7 +223,7 @@ def _assert_same_series(actual, expected):
 
 
 def test_rate_loss_sweep_evolves_a_repeated_delta_once(monkeypatch):
-    # the sweep's recursions run in construction._rate_losses
+    # the sweep's recursions run in construction._mean_erasures
     recursions = []
     levels = construction._levels
 
@@ -352,7 +354,7 @@ def test_order_free_sweeps_match_natural_order(p, delta):
             fault = FaultSpec(delta=delta, unprotected_steps=n_u)
             natural = np.sort(evolve_all(n, p, fault))
             assert staircase(n, p, fault).series["z"].tobytes() == natural.tobytes()
-            proxy = _rate_points(natural, rates)[2]
+            proxy = _rate_points(natural, _code_dimensions(rates, size))[1]
             swept = fer_vs_rate_sweep(n, p, fault, rates=rates).series
             assert swept["proxy_raw"].tobytes() == proxy.tobytes()
 
@@ -398,6 +400,60 @@ def test_rate_loss_sweep_without_points_checks_as_before():
     for args in ((0.5, [2.0], []), (-0.5, [], [1, 2])):
         with pytest.raises(ValueError):
             rate_loss_sweep(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: construct_code(3, 0.5, FaultSpec(), 0),
+                 "k must lie in 1..7, got 0", id="construct_code-k0"),
+    pytest.param(lambda: construct_code(3, 0.5, FaultSpec(), 8),
+                 "k must lie in 1..7, got 8", id="construct_code-kN"),
+    pytest.param(lambda: fer_vs_rate_sweep(5, 0.5, FaultSpec(), rates=[0.5, 1e-9]),
+                 "rate 1e-09 gives k=0, outside 1..31", id="fer_vs_rate_sweep-rate"),
+    pytest.param(lambda: protection_sweep(5, 0.5, 0.1, [0, 2], rates=[0.5, 1e-9]),
+                 "rate 1e-09 gives k=0, outside 1..31", id="protection_sweep-rate"),
+    pytest.param(lambda: expected_epsilon(1.5, 0.1, 3),
+                 "p must lie in [0, 1], got 1.5", id="expected_epsilon-p"),
+    pytest.param(lambda: expected_epsilon(0.5, -0.1, 3),
+                 "delta must lie in [0, 1], got -0.1", id="expected_epsilon-delta"),
+    pytest.param(lambda: expected_epsilon(0.5, 0.1, -1),
+                 "steps must be nonnegative, got -1", id="expected_epsilon-steps"),
+    pytest.param(lambda: expected_epsilon(0.5, 0.1, 2.5),
+                 "steps must be an integer, got 2.5", id="expected_epsilon-steps-float"),
+    pytest.param(lambda: rate_loss(float("nan"), 0.1, 3),
+                 "p must lie in [0, 1], got nan", id="rate_loss-p"),
+    pytest.param(lambda: rate_loss(0.5, 2.0, 3),
+                 "delta must lie in [0, 1], got 2.0", id="rate_loss-delta"),
+    pytest.param(lambda: rate_loss(0.5, 0.1, -2),
+                 "steps must be nonnegative, got -2", id="rate_loss-n_u"),
+    pytest.param(lambda: rate_loss_sweep(-0.1, [1e-3], [1, 2]),
+                 "p must lie in [0, 1], got -0.1", id="rate_loss_sweep-p"),
+    pytest.param(lambda: rate_loss_sweep(1.0, [1e-3], [1, 2]),
+                 "p must be below 1 so the capacity view is defined",
+                 id="rate_loss_sweep-capacity"),
+    pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 1e-4, 1.5], [1, 2]),
+                 "delta must lie in [0, 1], got 1.5", id="rate_loss_sweep-third-delta"),
+    pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 1e-4], [3, 25, -1]),
+                 "n_u must be nonnegative, got -1", id="rate_loss_sweep-n_u"),
+    pytest.param(lambda: rate_loss_sweep(0.5, [1e-3], [1, 2.7]),
+                 "n_u must be an integer, got 2.7", id="rate_loss_sweep-n_u-float"),
+    pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 0.1234567, 0.1234568], [1]),
+                 "two different deltas print as 0.123457", id="rate_loss_sweep-labels"),
+])
+def test_refusals_run_no_density_evolution(call, message, monkeypatch):
+    # every recursion enters at construction._levels; an input is refused
+    # at its public entry, before the first one
+    recursions = []
+    levels = construction._levels
+
+    def counting(*args, **kwargs):
+        recursions.append(args[0])
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "_levels", counting)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert recursions == []
 
 
 def _traced_peak(fn, *args, **kwargs):

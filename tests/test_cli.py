@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faultypolar import InternalInvariantError, cli
+from faultypolar import InternalInvariantError, cli, construction
 from faultypolar.cli import _fmt, _write_csv, main, parse_float_list, parse_int_spec
 
 
@@ -562,14 +562,56 @@ def _set(args, flag, value):
     return [*args[:at], value, *args[at + 1:]]
 
 
+# (args, exit code, the line on stderr): a bad value under a command that
+# takes it, refused before any density evolution, as the run refuses it
+REFUSALS = [
+    *[(_set(args, "--n", "1030"), 3,
+       "resource limit: n=1030 exceeds the memory budget (max exponent 24)")
+      for args in COMMAND_LINES[2:] if "--n" in args],
+    (_set(COMMAND_LINES[2], "--n", "-1"), 2, "error: exponent n must be nonnegative, got -1"),
+    (_set(COMMAND_LINES[2], "--p", "2"), 2, "error: p must lie in [0, 1], got 2.0"),
+    (_set(COMMAND_LINES[3], "--rates", "1e-9"), 2,
+     "error: rate 1e-09 gives k=0, outside 1..31"),
+    (_set(CONSTRUCT, "--rate", "0"), 2, "error: k must lie in 1..7, got 0"),
+    (_set(SIMULATE, "--trials", "0"), 2, "error: trials must be >= 1, got 0"),
+    (_set(SIMULATE, "--seed", "-1"), 2,
+     "error: master_seed must be an unsigned 64-bit integer"),
+    (_set(_set(COMMAND_LINES[5], "--n", "4"), "--np", "9"), 2,
+     "error: n_p must lie in 0..5, got 9"),
+    (_set(COMMAND_LINES[4], "--p", "1"), 2,
+     "error: p must be below 1 so the capacity view is defined"),
+]
+
+
+@pytest.mark.parametrize("args, code, message", REFUSALS,
+                         ids=[" ".join(args) for args, _, _ in REFUSALS])
+def test_refusals_run_no_density_evolution(args, code, message, tmp_path, capsys,
+                                           monkeypatch):
+    # every recursion enters at construction._levels
+    recursions = []
+    levels = construction._levels
+
+    def counting(*call_args, **kwargs):
+        recursions.append(call_args[0])
+        return levels(*call_args, **kwargs)
+
+    monkeypatch.setattr(construction, "_levels", counting)
+    assert run_cli(args, tmp_path) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert recursions == []
+
+
 # (args, exit code, --out-dir is an existing file): each bad input under
 # every command that takes it, as one line and an exit code, never a traceback
 BAD_INPUTS = [
-    # an exponent above the cap, refused before 2**n is built
+    # an exponent above the cap, refused before 2**n is built, with
+    # --manifest-only as without
     *[(_set(args, "--n", n), 3, False) for n in ("1030", str(10**6))
-      for args in [CONSTRUCT, SIMULATE, [*CONSTRUCT, "--manifest-only"],
-                   [*SIMULATE, "--manifest-only"],
-                   *(line for line in COMMAND_LINES[2:] if "--n" in line)]],
+      for line in COMMAND_LINES if "--n" in line
+      for args in (line, [*line, "--manifest-only"])],
+    # --manifest-only refuses what the run refuses
+    *[([*args, "--manifest-only"], code, False) for args, code, _ in REFUSALS
+      if "1030" not in args],
     # a finite rate whose rate*N overflows
     *[(_set(args, flag, value), 2, False)
       for args, flag, value in [(CONSTRUCT, "--rate", "1e308"),

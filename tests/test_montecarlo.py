@@ -481,6 +481,36 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
     assert peak <= _trial_bytes(n, slots, batch) + fixed_scratch
 
 
+# Every mode, genie setting, fault rate, protection, size and batch a chunk
+# runs with; the test takes a fixed stride of it (30 of 324), which holds
+# every value of every axis, to stay within a few seconds.
+CHUNK_GRID = [(mode, genie, delta, nu, n, batch)
+              for mode in ("shared", "independent_tree") for genie in (False, True)
+              for delta in (0.0, 0.01, 1.0) for nu in (None, 3)
+              for n in ((2, 5, 8, 11, 13) if mode == "shared" else (2, 5, 8, 11))
+              for batch in (1, 9, 64)]
+
+
+@pytest.mark.parametrize("mode, genie, delta, nu, n, batch", CHUNK_GRID[::11])
+def test_trial_bytes_count_what_a_chunk_allocates(mode, genie, delta, nu, n, batch):
+    # a resource limit counts the memory a run really allocates: the peak of
+    # one chunk (trials 5 to 5 + batch) is within _trial_bytes and the fixed
+    # scratch it leaves out (the eight lanes of fault hits, a block of raw
+    # words and the packing buffers)
+    fixed_scratch = 4 * 2**16
+    config = _config(n=n, k=2**n // 2, p=0.4, delta=delta, trials=5 + batch, mode=mode,
+                     genie=genie, n_u=nu)
+    slots = fault_slot_count(n, config.fault, mode)
+    _run_chunk(config, 5, 5 + batch, slots)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        _run_chunk(config, 5, 5 + batch, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _trial_bytes(n, slots, batch, genie) + fixed_scratch
+
+
 def _chunk_trials_before(n, slots, genie):
     """Default chunk of the full-height decoder layout: n message levels of
     N rows and, without the genie, n partial-sum levels, with the per-chunk

@@ -156,8 +156,8 @@ def _run(args) -> int:
 
     Every check the command's run makes on its arguments comes first, by
     the helper the run calls, so --manifest-only refuses what the run
-    refuses and nothing is computed before a refusal: the fault model
-    (_fault), n (before 2**n is built), p, or all of sweep rate-loss's
+    refuses and nothing is computed before a refusal: n (before 2**n is
+    built), the fault model (_fault), p, or all of sweep rate-loss's
     inputs, the k of --rate and of each --rates value, sweep protection's
     --np list, and simulate's trials, seed and resource limits.
 
@@ -165,9 +165,9 @@ def _run(args) -> int:
     them are computed before the output directory is made, so a usage
     error leaves no file behind.
     """
+    size = 2**_require_exponent(args.n) if hasattr(args, "n") else None
     fault = _fault(args)
     entries = _manifest_base(args)
-    size = 2**_require_exponent(args.n) if hasattr(args, "n") else None
     if hasattr(args, "deltas"):
         _rate_loss_inputs(args.p, args.deltas, args.nu)
     else:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     FaultSpec,
+    _require_count,
     _require_integer,
     _require_unit_interval,
     t_minus,
@@ -47,8 +48,7 @@ def index_to_path(i: int, n: int) -> tuple[int, ...]:
     transform applied to the channel erasure probability, leaf side first:
     0 = check node, 1 = variable node.
     """
-    if _require_integer(n, "n") < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
+    _require_count(n, "exponent n")
     if not 1 <= _require_integer(i, "i") <= 2**n:
         raise ValueError(f"index must lie in 1..{2**n}, got {i}")
     return tuple((i - 1 >> (n - 1 - j)) & 1 for j in range(n))
@@ -134,13 +134,11 @@ def _add_fault(out: np.ndarray, delta: float, scratch: np.ndarray) -> None:
 
 
 def _require_exponent(n: int) -> int:
-    """n, once it is a nonnegative integer no larger than DEFAULT_MAX_EXPONENT."""
-    if _require_integer(n, "n") < 0:
-        raise ValueError(f"exponent n must be nonnegative, got {n}")
-    if n > DEFAULT_MAX_EXPONENT:
+    """n, once it is a count; every integer above DEFAULT_MAX_EXPONENT is a ResourceLimitError."""
+    if _require_integer(n, "exponent n") > DEFAULT_MAX_EXPONENT:
         raise ResourceLimitError(f"n={n} exceeds the memory budget "
                                  f"(max exponent {DEFAULT_MAX_EXPONENT})")
-    return n
+    return _require_count(n, "exponent n")
 
 
 def _levels(n: int, p, fault: FaultSpec, ordered: bool = True):
@@ -245,10 +243,7 @@ def _checked(p, deltas, steps, name: str = "steps") -> tuple[float, list[int]]:
     p = _channel_erasure(p)
     for delta in deltas:
         _require_unit_interval(delta, "delta")
-    steps = [int(_require_integer(s, name)) for s in steps]
-    if min(steps, default=0) < 0:
-        raise ValueError(f"{name} must be nonnegative, got {min(steps)}")
-    return p, steps
+    return p, [_require_count(s, name) for s in steps]
 
 
 def _mean_erasures(p: float, delta: float, steps: list[int]) -> list[float]:

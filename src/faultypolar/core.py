@@ -31,6 +31,16 @@ def _require_integer(value, name):
     return value
 
 
+def _require_count(value, name) -> int:
+    """value as an int, once it is an integer in 0..2**63 - 1, the range of an int64."""
+    count = int(_require_integer(value, name))
+    if count < 0:
+        raise ValueError(f"{name} must be nonnegative, got {count}")
+    if count >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {count}")
+    return count
+
+
 def t_plus(eps):
     """Variable-node step: eps**2."""
     _require_unit_interval(eps, "eps")
@@ -113,16 +123,10 @@ class FaultSpec:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta!r}")
         if self.unprotected_steps is not None:
-            if _require_integer(self.unprotected_steps, "unprotected_steps") < 0:
-                raise ValueError(
-                    f"unprotected_steps must be nonnegative or None, "
-                    f"got {self.unprotected_steps!r}"
-                )
+            _require_count(self.unprotected_steps, "unprotected_steps")
         if self.correlation_mode not in _CORRELATION_MODES:
-            raise ValueError(
-                f"correlation_mode must be one of {_CORRELATION_MODES}, "
-                f"got {self.correlation_mode!r}"
-            )
+            raise ValueError(f"correlation_mode must be one of {_CORRELATION_MODES}, "
+                             f"got {self.correlation_mode!r}")
 
     def effective_steps(self, n: int) -> int:
         """Faulty transitions s in a code of exponent n: the one protection rule.
@@ -145,8 +149,7 @@ class FaultSpec:
         elements; protecting n_p of them starting from the root leaves
         n_u = (n + 1) - n_p unprotected. pe_counts checks n and n_p here.
         """
-        if _require_integer(n, "n") < 0:
-            raise ValueError(f"exponent n must be nonnegative, got {n}")
+        _require_count(n, "exponent n")
         if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
             raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
         return cls(delta=delta, unprotected_steps=(n + 1) - n_p,

@@ -438,6 +438,13 @@ def test_rate_loss_sweep_without_points_checks_as_before():
                  "n_u must be an integer, got 2.7", id="rate_loss_sweep-n_u-float"),
     pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 0.1234567, 0.1234568], [1]),
                  "two different deltas print as 0.123457", id="rate_loss_sweep-labels"),
+    # counts the sweep's int64 axis and the closed form's float power cannot hold
+    *[pytest.param(call, f"{name} must be below 2**63, got {count}", id=f"{label}-{count_id}")
+      for count, count_id in ((2**63, "2**63"), (10**400, "10**400"))
+      for call, name, label in (
+          (lambda c=count: expected_epsilon(0.5, 1e-3, c), "steps", "expected_epsilon"),
+          (lambda c=count: rate_loss(0.5, 1e-3, c), "steps", "rate_loss"),
+          (lambda c=count: rate_loss_sweep(0.5, [1e-3], [3, c]), "n_u", "rate_loss_sweep"))],
 ])
 def test_refusals_run_no_density_evolution(call, message, monkeypatch):
     # every recursion enters at construction._levels; an input is refused

@@ -1,6 +1,8 @@
 """CLI: file outputs, manifests, determinism, and exit codes."""
 
+import argparse
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -580,6 +582,12 @@ REFUSALS = [
      "error: n_p must lie in 0..5, got 9"),
     (_set(COMMAND_LINES[4], "--p", "1"), 2,
      "error: p must be below 1 so the capacity view is defined"),
+    # a count the int64 nu axis cannot hold
+    *[(_set(COMMAND_LINES[4], "--nu", str(nu)), 2, f"error: n_u must be below 2**63, got {nu}")
+      for nu in (2**63, 10**400)],
+    # n comes before the fault model --np builds from it
+    (_set(_set(COMMAND_LINES[2], "--n", str(2**63 - 1)), "--np", "0"), 3,
+     f"resource limit: n={2**63 - 1} exceeds the memory budget (max exponent 24)"),
 ]
 
 
@@ -636,6 +644,55 @@ def test_bad_input_is_one_line_and_no_output(args, code, out_is_file, tmp_path, 
     assert "Traceback" not in err and len(err.splitlines()) == 1, err
     assert err.startswith("error: " if code == 2 else "resource limit: "), err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def _typed_flags():
+    """(command words, flag) for every flag of every command that converts
+    its value (an integer, a float or a list of them), read off cli's parser."""
+    found = []
+
+    def walk(parser, words):
+        subparsers = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            found.extend((words, action.option_strings[0]) for action in parser._actions
+                         if action.option_strings and action.type is not None)
+        for action in subparsers:
+            for name, sub in action.choices.items():
+                walk(sub, [*words, name])
+
+    walk(cli.build_parser(), [])
+    return found
+
+
+TYPED_FLAGS = _typed_flags()
+EXTREMES = ["-1", "0", str(2**63 - 1), str(2**63), str(2**64), str(10**400),
+            "nan", "inf", "-inf", "-0.0", "1e-320"]
+
+
+@pytest.mark.parametrize("words, flag", TYPED_FLAGS,
+                         ids=[" ".join([*words, flag]) for words, flag in TYPED_FLAGS])
+def test_extreme_values_are_refused_or_run(words, flag, tmp_path, capsys):
+    # every value, as a full run and with --manifest-only, exits 0, 2 or 3
+    # and raises nothing; the value replaces the flag in the command's line
+    # of COMMAND_LINES, and --nu and --np exclude each other
+    line = next(line for line in COMMAND_LINES if line[:len(words)] == words)
+    pairs = zip(line[len(words)::2], line[len(words) + 1::2])
+    base = [*words, *itertools.chain.from_iterable(
+        pair for pair in pairs if pair[0] not in (flag, "--nu", "--np"))]
+    failures = []
+    for value, only in itertools.product(EXTREMES, ([], ["--manifest-only"])):
+        argv = [*base, f"{flag}={value}", *only, "--out-dir", str(tmp_path / "out")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        except Exception as exc:  # reported, with every other raise
+            code = repr(exc)
+        if code not in (0, 2, 3):
+            failures.append((" ".join(argv[:-2]), code))
+        capsys.readouterr()
+    assert not failures
 
 
 @pytest.mark.parametrize("args", COMMAND_LINES)

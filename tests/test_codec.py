@@ -260,6 +260,33 @@ def test_sign_correctness_under_erasures():
         assert np.array_equal(result.u_hat[decided], u[info0][decided])
 
 
+def test_continuation_convention_wrong_bits_follow_the_first_erasure():
+    # without the genie an erased decision feeds 0 forward, so a known
+    # decision after a frame's first erased information decision can be
+    # wrong; none before it can, and a frame with no erased one has none
+    n, p, delta = 7, 0.3, 0.01
+    code = construct_code(n, p, FaultSpec(delta=delta), 51)
+    info0 = code.info_indices - 1
+    rng = np.random.default_rng(29)
+    wrong_after_first = 0
+    for mode, nu in itertools.product(("shared", "independent_tree"), (None, 4)):
+        fault = FaultSpec(delta=delta, unprotected_steps=nu, correlation_mode=mode)
+        for _ in range(60):
+            u = np.zeros(code.N, np.int8)
+            u[info0] = rng.integers(0, 2, code.k, dtype=np.int8)
+            result = sc_decode(transmit_bec(encode(u), p, rng), code, fault, rng=rng)
+            erased = result.u_hat == ERASED_BIT
+            wrong = ~erased & (result.u_hat != u[info0])
+            if not erased.any():
+                assert not wrong.any()
+                continue
+            first = int(np.argmax(erased))
+            assert info0[first] + 1 == result.first_erasure_index
+            assert not wrong[:first].any()
+            wrong_after_first += int(wrong[first:].sum())
+    assert wrong_after_first > 0
+
+
 def test_modes_identical_without_faults():
     code = _all_zero_code(5, 16)
     rng = np.random.default_rng(9)

@@ -461,6 +461,44 @@ def test_counts_must_be_integers(call, count, bad):
             call(value)
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda v: index_to_path(1, v), "exponent n", id="index_to_path-n"),
+    pytest.param(lambda v: FaultSpec.from_protected_levels(v, 2, 0.1), "exponent n",
+                 id="from_protected_levels-n"),
+    pytest.param(lambda v: FaultSpec(unprotected_steps=v), "unprotected_steps",
+                 id="FaultSpec-unprotected_steps"),
+    pytest.param(lambda v: expected_epsilon(0.5, 1e-3, v), "steps", id="expected_epsilon"),
+    pytest.param(lambda v: rate_loss(0.5, 1e-3, v), "steps", id="rate_loss"),
+    pytest.param(lambda v: rate_loss_sweep(0.5, [1e-3], [1, v]), "n_u",
+                 id="rate_loss_sweep"),
+])
+def test_counts_lie_below_2_to_63(call, name):
+    # one rule for every count: an integer an int64 holds, refused by
+    # ValueError outside it, never an OverflowError from numpy or a float power
+    for value in (-1, np.int64(-3), 2**63, np.uint64(2**63), 2**64, 10**400):
+        bound = "nonnegative" if value < 0 else "below 2**63"
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} must be {bound}, got {int(value)}"
+
+
+def test_largest_count_is_accepted():
+    top = 2**63 - 1
+    assert FaultSpec(delta=0.1, unprotected_steps=top).effective_steps(5) == 5
+    assert FaultSpec.from_protected_levels(top, 1, 0.1).unprotected_steps == top
+    assert expected_epsilon(0.5, 1e-3, top) == 1.0
+    assert rate_loss_sweep(0.5, [1e-3], [top]).axis.tolist() == [top]
+
+
+def test_exponent_above_the_cap_is_a_resource_limit_however_large():
+    # the cap comes before the count bound, so no n above it is a usage error
+    for n in (25, 2**63 - 1, 2**63, 10**400):
+        with pytest.raises(ResourceLimitError):
+            evolve_all(n, 0.5, FaultSpec())
+    with pytest.raises(ValueError, match="^exponent n must be nonnegative, got -1$"):
+        evolve_all(-1, 0.5, FaultSpec())
+
+
 def test_code_construction_invariants():
     fault = FaultSpec(delta=1e-6)
     code = construct_code(6, 0.5, fault, 32)

@@ -23,9 +23,7 @@ from .construction import (
     construct_code,
     design_code,
     evolve_all,
-    evolve_path,
     expected_epsilon,
-    index_to_path,
     pe_counts,
     rate_loss,
 )
@@ -34,7 +32,6 @@ from .core import (
     SHARED,
     FaultSpec,
     erasure_floor,
-    mean_step,
     t_minus,
     t_minus_faulty,
     t_plus,
@@ -72,12 +69,9 @@ __all__ = [
     "encode",
     "erasure_floor",
     "evolve_all",
-    "evolve_path",
     "expected_epsilon",
     "fer_proxy",
     "fer_vs_rate_sweep",
-    "index_to_path",
-    "mean_step",
     "pe_counts",
     "protection_sweep",
     "rate_loss",

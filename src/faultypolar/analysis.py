@@ -162,14 +162,15 @@ def protection_sweep(n: int, p: float, delta: float, n_p_values, rates=None) -> 
 
 
 def _rate_loss_inputs(p, deltas, n_u_values) -> tuple[float, list[int], dict]:
-    """(p as a float, the n_u list, each distinct delta's label) once p is
-    below 1, the delta list is nonempty, _checked passes and no two deltas
-    print alike under :g, since each label names a series."""
+    """(p as a float, the n_u list, each distinct delta's label) once
+    _checked passes, p is below 1, the delta list is nonempty and no two
+    deltas print alike under :g, since each label names a series. p's range
+    comes first, so p = 1.5 is refused as rate_loss refuses it."""
+    p, n_u_list = _checked(p, deltas, n_u_values, "n_u")
     if 1.0 - p <= 0.0:
         raise ValueError("p must be below 1 so the capacity view is defined")
     if not deltas:
         raise ValueError("deltas must not be empty")
-    p, n_u_list = _checked(p, deltas, n_u_values, "n_u")
     labels = {}
     for delta in dict.fromkeys(deltas):
         label = f"{delta:g}"

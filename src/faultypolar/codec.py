@@ -39,7 +39,7 @@ import numpy as np
 
 from .construction import CodeConstruction
 from .core import SHARED, FaultSpec, _require_unit_interval
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 
 
 ERASED_BIT = -1  # marker for an erased hard decision in u_hat vectors
@@ -170,6 +170,11 @@ def _polar_transform(planes: np.ndarray) -> None:
         blocks = planes.reshape(size // (2 * w), 2 * w, width)
         blocks[:, :w] ^= blocks[:, w:]
         w *= 2
+
+
+# Memory one trial may allocate: a frame of a simulation chunk (see
+# montecarlo._require_limits) or of sc_decode.
+TRIAL_BYTES_CEILING = 256 * 2**20
 
 
 def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
@@ -381,11 +386,19 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         True input word, required in genie mode. Its frozen bits are
         taken as 0, and y must agree with encode of that word at every
         non-erased position; otherwise ValueError is raised.
+
+    Raises ResourceLimitError, before anything is drawn, when the fault
+    hits (a byte per fault slot) exceed TRIAL_BYTES_CEILING:
+    independent_tree from n = 15 on whenever a step is faulty.
     """
     y_arr = _as_message_array(y, "y")
     if y_arr.shape != (code.N,):
         raise ValueError(f"expected {code.N} channel messages, got shape {y_arr.shape}")
     mode = fault.correlation_mode
+    slots = fault_slot_count(code.n, fault, mode)
+    if slots > TRIAL_BYTES_CEILING:  # the hit column holds a byte per slot
+        raise ResourceLimitError(f"{slots} fault slots of one byte each exceed the "
+                                 f"per-trial ceiling {TRIAL_BYTES_CEILING}")
     erased = y_arr == 0
     if genie:
         if true_u is None:
@@ -396,7 +409,6 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         if np.any(~erased & (encode(sent) != (y_arr < 0))):
             raise ValueError("y disagrees with encode(true_u), frozen bits zeroed, "
                              "at a non-erased position")
-    slots = fault_slot_count(code.n, fault, mode)
     hits = None
     if slots:
         if rng is None:

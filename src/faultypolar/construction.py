@@ -1,30 +1,24 @@
 """Code construction by density evolution under a faulty decoder.
 
-The recursion pairs a parent erasure probability e with children
-(t_minus(e), t_plus(e)), so channel index 1 is the all-check (least
-reliable) path and index N the all-variable (most reliable) one. Transform
-steps are counted from the leaf (channel) side: step j of an index path is
-faulty when j < fault.effective_steps(n), the rule FaultSpec states.
+Z_i, the erasure probability of channel i in 1..N, is the channel erasure
+probability p walked through n transfer steps along the bits of i - 1 (see
+evolve_all). The recursion pairs a parent erasure probability e with
+children (t_minus(e), t_plus(e)), so channel index 1 is the all-check
+(least reliable) path and index N the all-variable (most reliable) one.
+Transform steps are counted from the leaf (channel) side: step j is faulty
+when j < fault.effective_steps(n), the rule FaultSpec states. One
+recursion, _levels, computes every Z_i at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    FaultSpec,
-    _require_count,
-    _require_integer,
-    _require_unit_interval,
-    t_minus,
-    t_minus_faulty,
-    t_plus,
-    t_plus_faulty,
-)
+from .core import FaultSpec, _require_count, _require_integer, _require_unit_interval
+from .core import t_minus, t_minus_faulty, t_plus, t_plus_faulty  # noqa: F401  (perfbench wraps construction.t_*)
 from .errors import ResourceLimitError
 
 # Largest exponent density evolution accepts. It grows every level inside
@@ -40,36 +34,10 @@ DEFAULT_MAX_EXPONENT = 24
 DEFAULT_ENUMERATION_CAP = 20
 
 
-def index_to_path(i: int, n: int) -> tuple[int, ...]:
-    """Return the transform sequence whose evolution yields Z_i.
-
-    Channel indices are 1-based; the bits are the n-digit binary expansion
-    of i - 1, most significant digit first. Bit j selects the j-th
-    transform applied to the channel erasure probability, leaf side first:
-    0 = check node, 1 = variable node.
-    """
-    _require_count(n, "exponent n")
-    if not 1 <= _require_integer(i, "i") <= 2**n:
-        raise ValueError(f"index must lie in 1..{2**n}, got {i}")
-    return tuple((i - 1 >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def _channel_erasure(p) -> float:
     """p as a float in [0, 1]; -0.0 becomes 0.0, so equal values are equal bits."""
     _require_unit_interval(p, "p")
     return float(p) + 0.0
-
-
-def evolve_path(bits: Sequence[int], p: float, fault: FaultSpec) -> float:
-    """Evolve the channel erasure probability p through the bits of index_to_path."""
-    faulty_steps = fault.effective_steps(len(bits))
-    eps = _channel_erasure(p)
-    for j, b in enumerate(bits):
-        if j < faulty_steps:
-            eps = t_plus_faulty(eps, fault.delta) if b else t_minus_faulty(eps, fault.delta)
-        else:
-            eps = t_plus(eps) if b else t_minus(eps)
-    return float(eps)
 
 
 # Scratch of a faulty density-evolution step, in doubles (64 KiB): the
@@ -175,9 +143,13 @@ def _levels(n: int, p, fault: FaultSpec, ordered: bool = True):
 def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.ndarray:
     """Compute all N = 2**n reliability values Z_1..Z_N.
 
-    Levelwise recursion: O(N) space and O(N) transfer-function
-    applications. Element i - 1 of the result equals
-    evolve_path(index_to_path(i, n), p, fault) bit for bit.
+    Element i - 1 of the result is Z_i: p walked through n steps, leaf
+    side first, where step j applies t_minus when bit j of i - 1 (its n
+    binary digits, most significant first) is 0 and t_plus when it is 1,
+    or their faulty forms t_minus_faulty and t_plus_faulty when
+    j < fault.effective_steps(n). Every value gets the arithmetic of those
+    maps in that order, so it equals that walk bit for bit. Levelwise
+    recursion: O(N) space and O(N) transfer-function applications.
 
     ordered=False gives the same values in _grow's faster order-free
     layout, element j holding Z_(r + 1) for r the n-bit reversal of j; sorted,
@@ -293,8 +265,10 @@ def pe_counts(n: int, n_p: int) -> PECounts:
     The tree has 2**(n+1) - 1 PEs over n + 1 levels; protecting n_p levels
     starting from the root hardens 2**n_p - 1 of them. With
     n_p = (n + 1) - n_u the protected fraction tends to 2**-n_u as n grows.
+    n is an exponent density evolution accepts (_require_exponent), checked
+    before any 2**n is built.
     """
-    FaultSpec.from_protected_levels(n, n_p, 0.0)  # the one check of n and n_p
+    FaultSpec.from_protected_levels(_require_exponent(n), n_p, 0.0)  # checks n_p
     total = 2 ** (n + 1) - 1
     protected = 2**n_p - 1
     return PECounts(total=total, protected=protected, fraction=protected / total)

@@ -69,18 +69,6 @@ def t_minus_faulty(eps, delta):
     return tm + (1 - tm) * delta
 
 
-def mean_step(eps, delta):
-    """Mean of the two faulty steps: eps + (1 - eps)*delta.
-
-    Identically equal to (t_plus_faulty + t_minus_faulty)/2, which makes the
-    faulty evolution a submartingale and the mean erasure probability exactly
-    computable in closed form.
-    """
-    _require_unit_interval(eps, "eps")
-    _require_unit_interval(delta, "delta")
-    return eps + (1 - eps) * delta
-
-
 def erasure_floor(delta):
     """Nonunit fixed point delta/(1 - delta) of the faulty variable-node step.
 
@@ -147,10 +135,13 @@ class FaultSpec:
 
         The tree of a code of exponent n has n + 1 levels of processing
         elements; protecting n_p of them starting from the root leaves
-        n_u = (n + 1) - n_p unprotected. pe_counts checks n and n_p here.
+        n_u = (n + 1) - n_p unprotected, a count like n, so n_p is at least
+        1 when n is 2**63 - 1. pe_counts checks n_p here.
         """
-        _require_count(n, "exponent n")
-        if not 0 <= _require_integer(n_p, "n_p") <= n + 1:
-            raise ValueError(f"n_p must lie in 0..{n + 1}, got {n_p}")
+        n = _require_count(n, "exponent n")
+        n_p = int(_require_integer(n_p, "n_p"))
+        lowest = max(0, n + 2 - 2**63)
+        if not lowest <= n_p <= n + 1:
+            raise ValueError(f"n_p must lie in {lowest}..{n + 1}, got {n_p}")
         return cls(delta=delta, unprotected_steps=(n + 1) - n_p,
                    correlation_mode=correlation_mode)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fer_proxy
-from .codec import _DRAW_BLOCK, _decode_batch, _polar_transform, fault_slot_count
+from .codec import _DRAW_BLOCK, TRIAL_BYTES_CEILING, _decode_batch, _polar_transform
+from .codec import fault_slot_count
 from .codec import encode  # noqa: F401  (perfbench times montecarlo.encode)
 from .construction import CodeConstruction
 from .core import FaultSpec, _require_integer, _require_unit_interval
@@ -47,7 +48,6 @@ ROLE_FAULTS = 2
 
 TRIALS_HARD_CAP = 10**7
 WORK_BUDGET = 2**32  # trials * N ceiling
-TRIAL_BYTES_CEILING = 256 * 2**20  # memory one trial of a chunk may allocate
 
 _CHUNK_BYTES = 64 * 2**20
 _MAX_CHUNK = 20_000

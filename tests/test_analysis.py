@@ -430,6 +430,9 @@ def test_rate_loss_sweep_without_points_checks_as_before():
     pytest.param(lambda: rate_loss_sweep(1.0, [1e-3], [1, 2]),
                  "p must be below 1 so the capacity view is defined",
                  id="rate_loss_sweep-capacity"),
+    # the range rule comes before the capacity rule, as rate_loss states it
+    pytest.param(lambda: rate_loss_sweep(1.5, [1e-3], [1]),
+                 "p must lie in [0, 1], got 1.5", id="rate_loss_sweep-p-above-1"),
     pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 1e-4, 1.5], [1, 2]),
                  "delta must lie in [0, 1], got 1.5", id="rate_loss_sweep-third-delta"),
     pytest.param(lambda: rate_loss_sweep(0.5, [1e-3, 1e-4], [3, 25, -1]),

@@ -580,6 +580,7 @@ REFUSALS = [
      "error: master_seed must be an unsigned 64-bit integer"),
     (_set(_set(COMMAND_LINES[5], "--n", "4"), "--np", "9"), 2,
      "error: n_p must lie in 0..5, got 9"),
+    (_set(COMMAND_LINES[4], "--p", "1.5"), 2, "error: p must lie in [0, 1], got 1.5"),
     (_set(COMMAND_LINES[4], "--p", "1"), 2,
      "error: p must be below 1 so the capacity view is defined"),
     # a count the int64 nu axis cannot hold
@@ -595,7 +596,8 @@ REFUSALS = [
                          ids=[" ".join(args) for args, _, _ in REFUSALS])
 def test_refusals_run_no_density_evolution(args, code, message, tmp_path, capsys,
                                            monkeypatch):
-    # every recursion enters at construction._levels
+    # every recursion enters at construction._levels; --manifest-only
+    # refuses with the run's message
     recursions = []
     levels = construction._levels
 
@@ -604,8 +606,9 @@ def test_refusals_run_no_density_evolution(args, code, message, tmp_path, capsys
         return levels(*call_args, **kwargs)
 
     monkeypatch.setattr(construction, "_levels", counting)
-    assert run_cli(args, tmp_path) == code
-    assert capsys.readouterr().err.splitlines() == [message]
+    for only in ([], ["--manifest-only"]):
+        assert run_cli([*args, *only], tmp_path) == code
+        assert capsys.readouterr().err.splitlines() == [message]
     assert recursions == []
 
 

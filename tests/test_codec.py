@@ -11,6 +11,7 @@ from faultypolar import (
     ERASED_BIT,
     FaultSpec,
     InternalInvariantError,
+    ResourceLimitError,
     construct_code,
     encode,
     sc_decode,
@@ -398,6 +399,26 @@ def test_sc_decode_holds_one_byte_per_fault_slot():
     finally:
         tracemalloc.stop()
     assert peak <= slots + 2**20
+
+
+def test_sc_decode_refuses_a_hit_column_over_the_trial_ceiling():
+    # independent_tree at n = 15 would hold N * (N - 1) bytes of hits, 1 GiB:
+    # refused before anything is allocated or drawn; n = 12 (16 MiB) decodes
+    fault = FaultSpec(delta=1e-3)
+    code, y, rng = _received_frame(15, fault)
+    assert fault_slot_count(15, fault, fault.correlation_mode) > codec.TRIAL_BYTES_CEILING
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="per-trial ceiling"):
+            sc_decode(y, code, fault, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rng.bit_generator.state == state
+    code, y, rng = _received_frame(12, fault)
+    assert sc_decode(y, code, fault, rng=rng).u_hat.shape == (code.k,)
 
 
 def test_sc_decode_genie_rejects_an_inconsistent_frame():

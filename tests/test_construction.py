@@ -16,9 +16,7 @@ from faultypolar import (
     design_code,
     erasure_floor,
     evolve_all,
-    evolve_path,
     expected_epsilon,
-    index_to_path,
     pe_counts,
     protection_sweep,
     rate_loss,
@@ -47,47 +45,14 @@ def oracle_z(n, p, delta=0.0, n_u=None):
     return np.array(out)
 
 
-def test_index_to_path_examples():
-    assert index_to_path(1, 2) == (0, 0)  # all check nodes
-    assert index_to_path(4, 2) == (1, 1)  # all variable nodes
-    assert index_to_path(1, 0) == ()
-    assert index_to_path(2, 2) == (0, 1)
-
-
-def test_index_to_path_bijection():
-    n = 5
-    seen = set()
-    for i in range(1, 2**n + 1):
-        path = index_to_path(i, n)
-        assert len(path) == n
-        rebuilt = 1 + sum(b << (n - 1 - j) for j, b in enumerate(path))
-        assert rebuilt == i
-        seen.add(path)
-    assert len(seen) == 2**n
-
-
-def test_index_to_path_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        index_to_path(0, 3)
-    with pytest.raises(ValueError):
-        index_to_path(9, 3)
-    with pytest.raises(ValueError, match="exponent"):
-        index_to_path(1, -1)
-
-
-def test_evolve_path_examples():
-    assert evolve_path((1,), 0.5, FaultSpec(delta=0.1)) == pytest.approx(0.325, abs=1e-12)
-    assert evolve_path((0, 0), 0.5, FaultSpec()) == pytest.approx(0.9375, abs=1e-12)
-    for bits in itertools.product((0, 1), repeat=4):
-        assert evolve_path(bits, 1.0, FaultSpec(delta=0.3, unprotected_steps=2)) == 1.0
-
-
 def test_evolve_all_examples():
     assert np.allclose(evolve_all(1, 0.5, FaultSpec()), [0.75, 0.25], atol=1e-12)
     assert np.allclose(evolve_all(2, 0.5, FaultSpec()),
                        [0.9375, 0.5625, 0.4375, 0.0625], atol=1e-12)
     assert np.allclose(evolve_all(1, 0.5, FaultSpec(delta=0.1)),
                        [0.775, 0.325], atol=1e-12)
+    # a channel that erases everything stays erased on every path
+    assert (evolve_all(4, 1.0, FaultSpec(delta=0.3, unprotected_steps=2)) == 1.0).all()
 
 
 def test_evolve_all_matches_oracle_nonfaulty():
@@ -104,21 +69,17 @@ def test_evolve_all_matches_oracle_faulty_and_protected():
         assert np.max(np.abs(z - oracle_z(n, 0.37, delta, n_u))) <= 1e-12
 
 
-def test_evolve_all_consistent_with_evolve_path():
+def test_evolve_all_equals_oracle_bitwise_partly_protected():
+    # every index, so the first, second, middle and last ones too
     for n in range(0, 9):
-        fault = FaultSpec(delta=1e-3, unprotected_steps=max(n - 2, 0))
-        z = evolve_all(n, 0.41, fault)
-        for i in sorted({1, min(2, 2**n), 2**n // 2 + 1, 2**n}):
-            assert z[i - 1] == evolve_path(index_to_path(i, n), 0.41, fault)
+        n_u = max(n - 2, 0)
+        z = evolve_all(n, 0.41, FaultSpec(delta=1e-3, unprotected_steps=n_u))
+        assert z.tobytes() == oracle_z(n, 0.41, 1e-3, n_u).tobytes(), n
 
 
-def test_evolve_all_path_consistency_exhaustive_n12():
-    fault = FaultSpec(delta=1e-6)
-    n = 12
-    z = evolve_all(n, 0.5, fault)
-    rng = np.random.default_rng(5)
-    for i in rng.choice(2**n, size=200, replace=False):
-        assert z[i] == evolve_path(index_to_path(int(i) + 1, n), 0.5, fault)
+def test_evolve_all_equals_oracle_bitwise_n12():
+    z = evolve_all(12, 0.5, FaultSpec(delta=1e-6))
+    assert z.tobytes() == oracle_z(12, 0.5, 1e-6).tobytes()
 
 
 def test_faulty_mean_identity():
@@ -159,11 +120,10 @@ def test_all_faulty_paths_stay_above_delta():
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e-300, 0.41])
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_u", [None, 0, 3])
-def test_evolve_all_equals_evolve_path_bitwise_at_the_edges(p, delta, n_u):
+def test_evolve_all_equals_oracle_bitwise_at_the_edges(p, delta, n_u):
     fault = FaultSpec(delta=delta, unprotected_steps=n_u)
     for n in range(0, 9):
-        paths = [evolve_path(index_to_path(i, n), p, fault) for i in range(1, 2**n + 1)]
-        assert evolve_all(n, p, fault).tobytes() == np.array(paths).tobytes()
+        assert evolve_all(n, p, fault).tobytes() == oracle_z(n, p, delta, n_u).tobytes(), n
 
 
 def _reference_levels(z, steps, delta, faulty_steps, ordered=True):
@@ -245,8 +205,6 @@ def test_channel_erasure_is_checked_at_entry(p):
     fault = FaultSpec(delta=0.1)
     with pytest.raises(ValueError):
         evolve_all(0, p, fault)
-    with pytest.raises(ValueError):
-        evolve_path((), p, fault)
     for steps in (0, 30):  # enumerated, and the closed form above the cap
         with pytest.raises(ValueError):
             expected_epsilon(p, 0.1, steps)
@@ -259,7 +217,6 @@ def test_negative_zero_channel_erasure_reads_as_zero():
     for fault in (FaultSpec(), FaultSpec(delta=0.0, unprotected_steps=0)):
         z = evolve_all(3, -0.0, fault)
         assert not np.signbit(z).any()
-        assert not np.signbit(evolve_path((0, 0, 0), -0.0, fault))
     assert not np.signbit(expected_epsilon(-0.0, 0.0, 0))
 
 
@@ -445,8 +402,6 @@ def _sim_config(trials, seed=0):
                  id="rate_loss_sweep"),
     pytest.param(lambda v: pe_counts(4, v), 1, 1.5, id="pe_counts-n_p"),
     pytest.param(lambda v: pe_counts(v, 1), 4, 4.0, id="pe_counts-n"),
-    pytest.param(lambda v: index_to_path(v, 2), 1, 1.5, id="index_to_path-i"),
-    pytest.param(lambda v: index_to_path(1, v), 2, 2.5, id="index_to_path-n"),
     pytest.param(_sim_config, 10, 10.5, id="SimConfig-trials"),
     pytest.param(lambda v: _sim_config(10, seed=v), 1, 1.5, id="SimConfig-master_seed"),
     pytest.param(lambda v: run_simulation(_sim_config(10), threads=v), 1, 1.5,
@@ -462,7 +417,6 @@ def test_counts_must_be_integers(call, count, bad):
 
 
 @pytest.mark.parametrize("call, name", [
-    pytest.param(lambda v: index_to_path(1, v), "exponent n", id="index_to_path-n"),
     pytest.param(lambda v: FaultSpec.from_protected_levels(v, 2, 0.1), "exponent n",
                  id="from_protected_levels-n"),
     pytest.param(lambda v: FaultSpec(unprotected_steps=v), "unprotected_steps",
@@ -482,6 +436,16 @@ def test_counts_lie_below_2_to_63(call, name):
         assert str(refused.value) == f"{name} must be {bound}, got {int(value)}"
 
 
+def test_protected_levels_leave_a_count_unprotected():
+    # n_u = n + 1 - n_p is a count too: at the largest n, n_p = 0 would make
+    # it 2**63, so the refusal names the n_p the caller passed
+    top = 2**63 - 1
+    with pytest.raises(ValueError) as refused:
+        FaultSpec.from_protected_levels(top, 0, 0.1)
+    assert str(refused.value) == f"n_p must lie in 1..{top + 1}, got 0"
+    assert FaultSpec.from_protected_levels(top, top + 1, 0.1).unprotected_steps == 0
+
+
 def test_largest_count_is_accepted():
     top = 2**63 - 1
     assert FaultSpec(delta=0.1, unprotected_steps=top).effective_steps(5) == 5
@@ -491,10 +455,13 @@ def test_largest_count_is_accepted():
 
 
 def test_exponent_above_the_cap_is_a_resource_limit_however_large():
-    # the cap comes before the count bound, so no n above it is a usage error
-    for n in (25, 2**63 - 1, 2**63, 10**400):
-        with pytest.raises(ResourceLimitError):
-            evolve_all(n, 0.5, FaultSpec())
+    # the cap comes before the count bound, so no n above it is a usage error;
+    # pe_counts refuses it before 2**(n + 1) is built
+    for n in (25, 2**40, 2**63 - 1, 2**63, 10**400):
+        for call in (lambda: evolve_all(n, 0.5, FaultSpec()), lambda: pe_counts(n, 1)):
+            with pytest.raises(ResourceLimitError):
+                call()
+    assert pe_counts(24, 25) == (2**25 - 1, 2**25 - 1, 1.0)
     with pytest.raises(ValueError, match="^exponent n must be nonnegative, got -1$"):
         evolve_all(-1, 0.5, FaultSpec())
 

@@ -6,7 +6,6 @@ import pytest
 from faultypolar import (
     FaultSpec,
     erasure_floor,
-    mean_step,
     t_minus,
     t_minus_faulty,
     t_plus,
@@ -41,12 +40,6 @@ def test_t_minus_faulty_values():
     assert t_minus_faulty(0.5, 0.0) == t_minus(0.5)
 
 
-def test_mean_step_values():
-    assert mean_step(0.5, 0.0) == 0.5
-    assert mean_step(0.5, 0.1) == pytest.approx(0.55, abs=TOL)
-    assert mean_step(1.0, 0.7) == 1.0
-
-
 @pytest.mark.parametrize("func", [t_plus, t_minus])
 def test_nonfaulty_rejects_out_of_range(func):
     for bad in (-0.1, 1.5, float("nan")):
@@ -54,7 +47,7 @@ def test_nonfaulty_rejects_out_of_range(func):
             func(bad)
 
 
-@pytest.mark.parametrize("func", [t_plus_faulty, t_minus_faulty, mean_step])
+@pytest.mark.parametrize("func", [t_plus_faulty, t_minus_faulty])
 def test_faulty_rejects_out_of_range(func):
     with pytest.raises(ValueError):
         func(-0.1, 0.5)
@@ -136,13 +129,14 @@ def test_mean_identity_and_submartingale():
     eps = _grid(0.0, 1.0, 100)
     for delta in (0.0, 1e-6, 0.05, 0.6, 1.0):
         mean = 0.5 * (t_plus_faulty(eps, delta) + t_minus_faulty(eps, delta))
-        assert np.allclose(mean, mean_step(eps, delta), atol=1e-14)
-        drift = mean_step(eps, delta) - eps
+        mean_step = eps + (1 - eps) * delta
+        assert np.allclose(mean, mean_step, atol=1e-14)
+        drift = mean_step - eps
         assert np.all(drift >= -1e-16)
     # equality iff eps = 1 or delta = 0
-    assert mean_step(1.0, 0.4) == 1.0
-    assert mean_step(0.3, 0.0) == 0.3
-    assert mean_step(0.3, 0.4) > 0.3
+    for eps, delta, rises in ((1.0, 0.4, False), (0.3, 0.0, False), (0.3, 0.4, True)):
+        mean_step = eps + (1 - eps) * delta
+        assert mean_step > eps if rises else mean_step == eps
 
 
 def test_fault_spec_validation():

@@ -22,6 +22,10 @@ from faultypolar import (
     rate_loss,
     rate_loss_sweep,
     run_simulation,
+    t_minus,
+    t_minus_faulty,
+    t_plus,
+    t_plus_faulty,
 )
 from faultypolar.codec import _decode_batch, fault_slot_count
 from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _grow, _levels
@@ -80,6 +84,28 @@ def test_evolve_all_equals_oracle_bitwise_partly_protected():
 def test_evolve_all_equals_oracle_bitwise_n12():
     z = evolve_all(12, 0.5, FaultSpec(delta=1e-6))
     assert z.tobytes() == oracle_z(12, 0.5, 1e-6).tobytes()
+
+
+@pytest.mark.parametrize("n_u", [None, 0, 2])
+def test_evolve_all_walks_the_public_maps_by_index_bits(n_u):
+    # the convention evolve_all's docstring states, with the public maps:
+    # bit j of i - 1, most significant first, picks t_minus (0) or t_plus
+    # (1) at step j, in faulty form while j < effective_steps(n)
+    delta = 1e-3
+    fault = FaultSpec(delta=delta, unprotected_steps=n_u)
+    for n in range(0, 7):
+        for p in (0.41, 1e-300):
+            walked = []
+            for i0 in range(2**n):
+                e = p
+                for j in range(n):
+                    bit = (i0 >> (n - 1 - j)) & 1
+                    if j < fault.effective_steps(n):
+                        e = t_plus_faulty(e, delta) if bit else t_minus_faulty(e, delta)
+                    else:
+                        e = t_plus(e) if bit else t_minus(e)
+                walked.append(e)
+            assert evolve_all(n, p, fault).tobytes() == np.array(walked).tobytes(), (n, p)
 
 
 def test_faulty_mean_identity():

@@ -40,9 +40,8 @@ def _channel_erasure(p) -> float:
     return float(p) + 0.0
 
 
-# Scratch of a faulty density-evolution step, in doubles (64 KiB): the
-# fault terms of one output block. Natural-order input blocks are half that
-# size; order-free ones are its size, and each half is faulted on its own.
+# Doubles in _grow's one scratch (64 KiB), and so the most cells in one
+# of its input blocks: a natural-order block's copy, then fault terms.
 _SCRATCH = 2**13
 
 
@@ -50,48 +49,46 @@ def _grow(buf: np.ndarray, size: int, delta: float, faulty: bool,
           ordered: bool = True) -> None:
     """Grow the level buf[:size] into the level buf[:2*size], in place.
 
+    One loop reads the input top down in blocks [lo, hi) of
+    min(size, _SCRATCH) cells; the last block, [0, hi), may be shorter.
+
     Natural order (ordered, for callers that index or average the values;
     see _levels): the children of cell i are cells 2i (minus) and 2i + 1
-    (plus). Input blocks are read from the top down; block [lo, hi) with
-    2*lo >= hi writes children [2*lo, 2*hi), which hold only cells already
-    read. The last block, [0, 1), writes its plus child into cell 1 first
-    and then its minus child over its own cell.
+    (plus). The children [2*lo, 2*hi) of a block overwrite it and cells
+    above it, already read, so they are computed from its copy in scratch.
 
     Order-free (for callers that sort): the new level is
-    [t_minus(z) | t_plus(z)]. Each input block of _SCRATCH cells writes
-    its plus half into buf[size:] first and then its minus half over
-    itself, so every ufunc runs on contiguous memory. Cell i then holds
-    the path whose step-s choice is bit s of i, the bit reversal of the
-    natural index, and the sorted level is natural order's bit for bit.
+    [t_minus(z) | t_plus(z)]. Each block writes its plus half into
+    buf[size + lo:size + hi] and then its minus half over itself, so every
+    ufunc runs on contiguous memory. Cell i then holds the path whose
+    step-s choice is bit s of i, the bit reversal of the natural index,
+    and the sorted level is natural order's bit for bit.
 
-    Either way a faulty step adds its fault term to each block right after
-    writing it, through one scratch of at most _SCRATCH doubles, and each
-    cell gets the same operations in the same order.
+    Either way a faulty step adds its fault term to each half of a block's
+    output right after writing it, through the same scratch, and each cell
+    gets the same operations in the same order whatever the block size.
     """
     z = buf[:size]
-    scratch = np.empty(min(2 * size, _SCRATCH), dtype=np.float64) if faulty else None
-    if ordered:
-        hi = size
-        while hi > 0:
-            lo = max(hi - _SCRATCH // 2, (hi + 1) // 2) if hi > 1 else 0
+    step = min(size, _SCRATCH)
+    scratch = np.empty(step, dtype=np.float64)
+    for hi in range(size, 0, -step):
+        lo = max(hi - step, 0)
+        if ordered:
+            parent = scratch[:hi - lo]
+            np.copyto(parent, z[lo:hi])
             out = buf[2 * lo:2 * hi]
             minus, plus = out[0::2], out[1::2]
-            np.multiply(z[lo:hi], z[lo:hi], out=plus)
-            np.multiply(z[lo:hi], 2, out=minus)
-            np.subtract(minus, plus, out=minus)
-            if faulty:
-                _add_fault(out, delta, scratch)
-            hi = lo
-        return
-    for lo in range(0, size, _SCRATCH):
-        minus = z[lo:lo + _SCRATCH]
-        plus = buf[size + lo:size + lo + minus.size]
-        np.multiply(minus, minus, out=plus)
-        np.multiply(minus, 2, out=minus)
+            halves = out[:hi - lo], out[hi - lo:]
+        else:
+            parent = minus = z[lo:hi]
+            plus = buf[size + lo:size + hi]
+            halves = minus, plus
+        np.multiply(parent, parent, out=plus)
+        np.multiply(parent, 2, out=minus)
         np.subtract(minus, plus, out=minus)
         if faulty:
-            _add_fault(minus, delta, scratch)
-            _add_fault(plus, delta, scratch)
+            for half in halves:
+                _add_fault(half, delta, scratch)
 
 
 def _add_fault(out: np.ndarray, delta: float, scratch: np.ndarray) -> None:
@@ -120,7 +117,7 @@ def _levels(n: int, p, fault: FaultSpec, ordered: bool = True):
     steps are faulty. Each cell gets the arithmetic of the core transfer
     maps, in the same order, without their per-call checks: FaultSpec has
     checked delta (every level stays in [0, 1] when p and delta lie
-    there). Between levels the generator holds no scratch.
+    there). A step holds one _grow scratch; between levels, none.
 
     ordered picks _grow's layout. Natural order is for callers that index
     the values or average them: evolve_all by default (construct and
@@ -149,13 +146,13 @@ def evolve_all(n: int, p: float, fault: FaultSpec, ordered: bool = True) -> np.n
     or their faulty forms t_minus_faulty and t_plus_faulty when
     j < fault.effective_steps(n). Every value gets the arithmetic of those
     maps in that order, so it equals that walk bit for bit. Levelwise
-    recursion: O(N) space and O(N) transfer-function applications.
+    recursion: N doubles plus a 64 KiB scratch, O(N) map applications.
 
-    ordered=False gives the same values in _grow's faster order-free
-    layout, element j holding Z_(r + 1) for r the n-bit reversal of j; sorted,
-    both give the same array bit for bit. fer_vs_rate_sweep and staircase,
-    which sort, pass it; construct and simulate keep natural order, which
-    is their output.
+    ordered=False gives the same values in _grow's order-free layout,
+    faster as it copies no block, element j holding Z_(r + 1) for r the
+    n-bit reversal of j; sorted, both give the same array bit for bit.
+    fer_vs_rate_sweep and staircase, which sort, pass it; construct and
+    simulate keep natural order, which is their output.
 
     The result is the last level of _levels, the package's one
     density-evolution recursion, which checks n and p once. Level j of the

@@ -27,6 +27,7 @@ from faultypolar import (
     t_plus,
     t_plus_faulty,
 )
+from faultypolar import construction
 from faultypolar.codec import _decode_batch, fault_slot_count
 from faultypolar.construction import DEFAULT_ENUMERATION_CAP, _grow, _levels
 
@@ -180,14 +181,22 @@ START_LEVELS = {
 }
 
 
+@pytest.mark.parametrize("scratch", [1, 3, 2**13])
 @pytest.mark.parametrize("ordered", [True, False])
 @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
 @pytest.mark.parametrize("start", sorted(START_LEVELS))
-def test_levels_in_place_equal_fresh_levels_bitwise(start, delta, ordered):
-    # up to 14 steps, so the widest steps span several scratch blocks;
-    # _grow from each start level, and _levels from the root [z0[0]]
+def test_levels_in_place_equal_fresh_levels_bitwise(start, delta, ordered, scratch,
+                                                     monkeypatch):
+    # blocks of 1 cell, of 3 (so a level's last block is shorter) and of
+    # the default 2**13; the bytes may not depend on the block size. The
+    # older natural-order rule lo = max(hi - _SCRATCH // 2, (hi + 1) // 2)
+    # never ended at _SCRATCH = 1: _SCRATCH // 2 == 0 kept lo == hi. Up to
+    # 14 steps at the default, so the widest steps span several blocks, and
+    # 6 for the tiny blocks, whose per-block overhead would make 14 take
+    # minutes; _grow from each start level, and _levels from the root [z0[0]]
+    monkeypatch.setattr(construction, "_SCRATCH", scratch)
     z0 = START_LEVELS[start]
-    for steps in range(15):
+    for steps in range(15 if scratch == 2**13 else 7):
         for faulty_steps in range(steps + 1):
             buf = np.full(start << steps, np.nan)  # a cell read before written shows
             buf[:start] = z0

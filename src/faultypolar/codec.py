@@ -172,19 +172,64 @@ def _polar_transform(planes: np.ndarray) -> None:
         w *= 2
 
 
-# Memory one trial may allocate: a frame of a simulation chunk (see
-# montecarlo._require_limits) or of sc_decode.
+# Memory one trial may allocate, as _trial_bytes counts it: the one rule of
+# a simulation trial (montecarlo._require_limits) and of sc_decode, which
+# both apply it through _require_trial_bytes. With every step faulty it
+# admits independent_tree up to n = 13 and shared up to n = 22, with or
+# without the genie; independent_tree from n = 15 on whenever a step is
+# faulty, and n = 24 without the genie, are refused.
 TRIAL_BYTES_CEILING = 256 * 2**20
 
 
-def fault_slot_count(n: int, fault: FaultSpec, mode: str) -> int:
+def fault_slot_count(n: int, fault: FaultSpec) -> int:
     """Fault draws one decode consumes per frame: N*s in shared mode and
-    N*(N - (N >> s)) in independent_tree, for s = fault.effective_steps(n)."""
+    N*(N - (N >> s)) in independent_tree, for s = fault.effective_steps(n)
+    and the mode fault.correlation_mode."""
     steps = fault.effective_steps(n)
     size = 1 << n
-    if mode == SHARED:
+    if fault.correlation_mode == SHARED:
         return size * steps
     return size * (size - (size >> steps))
+
+
+def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int:
+    """Bytes a simulation chunk of `batch` trials allocates; by default one
+    trial alone, which bounds sc_decode too.
+
+    Per frame, its row of the (B, N) bool channel-erasure mask. Per group
+    of eight frames (paid in full even when fewer share it), a byte per
+    fault slot for the packed hits and per row of each packed plane: the
+    N decisions, the 2**L-row block of each level L in 1..n - 1 and the
+    channel; without the genie each of those twice (E and S, the codeword
+    being the channel's S), N - 1 rows of partial sums and a half-height
+    g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
+    chunk (batch = 0 gives it alone), 10 bytes per position: the int64
+    information positions, the bool mask they are found from and the
+    decoder's, which a genie decode does not build; without the genie, 9
+    more for that mask's block pyramid, which the rate-0 skip reads, and
+    the eight lanes of source bits. Fixed scratch
+    (the eight lanes of fault hits, a block of raw words and the packing
+    buffers, 64 KiB each) is not counted.
+    """
+    size = 1 << n
+    if genie:
+        packed, chunk = 3 * size, 10 * size
+    else:
+        packed, chunk = 7 * size + size // 2, 19 * size
+    return batch * size + -(-batch // 8) * (slots + packed) + chunk
+
+
+def _require_trial_bytes(n: int, fault: FaultSpec, genie: bool) -> int:
+    """One frame's fault slots, once one trial of 2**n positions fits
+    TRIAL_BYTES_CEILING; ResourceLimitError, before anything is allocated
+    or drawn, when it does not."""
+    slots = fault_slot_count(n, fault)
+    per_trial = _trial_bytes(n, slots, genie=genie)
+    if per_trial > TRIAL_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
+            f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
+    return slots
 
 
 def _block_any(leaves: np.ndarray, n: int) -> list[np.ndarray]:
@@ -209,9 +254,11 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
 
     Level n is the channel, level 0 the decisions. Bit i, in order,
     recomputes from a top level down its level-L block, rows (i >> L) << L
-    on, from its parent block. mode picks the top alone: the lowest set
-    bit of i in shared mode (n - 1 at i = 0), the levels whose inputs
-    changed; n - 1 in independent_tree. So a level L in 1..n - 1 holds
+    on, from its parent block. The mode picks the top alone: the lowest
+    set bit of i in shared mode (n - 1 at i = 0), the levels whose inputs
+    changed; n - 1 in independent_tree. mode must be
+    fault.correlation_mode (else InternalInvariantError); perfbench's
+    tracer reads it as argument 3. So a level L in 1..n - 1 holds
     only the block of 2**L rows bit i is in (the space-efficient layout of
     Tal and Vardy, 2015): in shared mode the level-(L + 1) block that bit
     i reads was computed at its first bit, and no level-(L + 1) node has
@@ -276,7 +323,10 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     """
     batch, size = erased.shape
     n = size.bit_length() - 1
-    slots = fault_slot_count(n, fault, mode)
+    if mode != fault.correlation_mode:
+        raise InternalInvariantError(f"mode {mode!r} is not the fault's "
+                                     f"{fault.correlation_mode!r}")
+    slots = fault_slot_count(n, fault)
     height = 0 if fault_hits is None else fault_hits.shape[0]
     if height != slots:
         raise InternalInvariantError(f"fault hit plane has {height} rows, the schedule "
@@ -387,18 +437,16 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
         taken as 0, and y must agree with encode of that word at every
         non-erased position; otherwise ValueError is raised.
 
-    Raises ResourceLimitError, before anything is drawn, when the fault
-    hits (a byte per fault slot) exceed TRIAL_BYTES_CEILING:
-    independent_tree from n = 15 on whenever a step is faulty.
+    Raises ResourceLimitError, before anything is allocated or drawn, for
+    the frames simulate --trials 1 refuses (_require_trial_bytes): with
+    every step faulty it admits independent_tree up to n = 13 and shared
+    up to n = 22, and it refuses independent_tree from n = 15 on whenever
+    a step is faulty.
     """
     y_arr = _as_message_array(y, "y")
     if y_arr.shape != (code.N,):
         raise ValueError(f"expected {code.N} channel messages, got shape {y_arr.shape}")
-    mode = fault.correlation_mode
-    slots = fault_slot_count(code.n, fault, mode)
-    if slots > TRIAL_BYTES_CEILING:  # the hit column holds a byte per slot
-        raise ResourceLimitError(f"{slots} fault slots of one byte each exceed the "
-                                 f"per-trial ceiling {TRIAL_BYTES_CEILING}")
+    slots = _require_trial_bytes(code.n, fault, genie)
     erased = y_arr == 0
     if genie:
         if true_u is None:
@@ -419,8 +467,8 @@ def sc_decode(y, code: CodeConstruction, fault: FaultSpec,
             np.less(rng.random(min(_DRAW_BLOCK, slots - pos)), fault.delta,
                     out=hits[pos:pos + _DRAW_BLOCK, 0])
     codeword = None if genie else (y_arr < 0).view(np.uint8).reshape(code.N, 1)
-    planes = _decode_batch(erased.reshape(1, code.N), code.frozen_mask, fault, mode,
-                           genie, codeword, hits)
+    planes = _decode_batch(erased.reshape(1, code.N), code.frozen_mask, fault,
+                           fault.correlation_mode, genie, codeword, hits)
     erased_full = (planes[0][:, 0] & 1).view(bool)
     # every known genie decision is the sent bit; otherwise it reads S & ~E
     bits = sent if genie else (planes[1][:, 0] & 1).view(np.int8)

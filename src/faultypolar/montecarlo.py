@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fer_proxy
-from .codec import _DRAW_BLOCK, TRIAL_BYTES_CEILING, _decode_batch, _polar_transform
-from .codec import fault_slot_count
+from .codec import _DRAW_BLOCK, _decode_batch, _polar_transform
+from .codec import _require_trial_bytes, _trial_bytes
 from .codec import encode  # noqa: F401  (perfbench times montecarlo.encode)
 from .construction import CodeConstruction
 from .core import FaultSpec, _require_integer, _require_unit_interval
@@ -115,32 +115,6 @@ def _source_bits(bitgen: np.random.BitGenerator, k: int) -> np.ndarray:
     return words.view(np.uint8)[:k] >> 7
 
 
-def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int:
-    """Bytes a chunk of `batch` trials allocates; by default one trial alone.
-
-    Per frame, its row of the (B, N) bool channel-erasure mask. Per group
-    of eight frames (paid in full even when fewer share it), a byte per
-    fault slot for the packed hits and per row of each packed plane: the
-    N decisions, the 2**L-row block of each level L in 1..n - 1 and the
-    channel; without the genie each of those twice (E and S, the codeword
-    being the channel's S), N - 1 rows of partial sums and a half-height
-    g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
-    chunk (batch = 0 gives it alone), 10 bytes per position: the int64
-    information positions, the bool mask they are found from and the
-    decoder's, which a genie decode does not build; without the genie, 9
-    more for that mask's block pyramid, which the rate-0 skip reads, and
-    the eight lanes of source bits. Fixed scratch
-    (the eight lanes of fault hits, a block of raw words and the packing
-    buffers, 64 KiB each) is not counted.
-    """
-    size = 1 << n
-    if genie:
-        packed, chunk = 3 * size, 10 * size
-    else:
-        packed, chunk = 7 * size + size // 2, 19 * size
-    return batch * size + -(-batch // 8) * (slots + packed) + chunk
-
-
 def _chunk_trials(n: int, slots: int, genie: bool, threads: int = 1) -> int:
     """Trials per chunk: the groups of eight that fit in a 1/threads
     share of _CHUNK_BYTES once the per-chunk term is paid, so the chunks
@@ -160,19 +134,14 @@ def _require_trials(trials: int, master_seed: int) -> None:
 
 def _require_limits(n: int, fault: FaultSpec, trials: int, genie: bool) -> int:
     """One trial's fault slots, once a run of `trials` frames of 2**n positions
-    fits the resource limits (run_simulation, and the CLI before it builds a code)."""
+    fits the resource limits (run_simulation, and the CLI before it builds a code):
+    the run caps here, and the per-trial rule sc_decode applies too."""
     if trials > TRIALS_HARD_CAP:
         raise ResourceLimitError(f"trials={trials} exceeds the hard cap {TRIALS_HARD_CAP}")
     if trials * 2**n > WORK_BUDGET:
         raise ResourceLimitError(
             f"trials * N = {trials * 2**n} exceeds the work budget {WORK_BUDGET}")
-    slots = fault_slot_count(n, fault, fault.correlation_mode)
-    per_trial = _trial_bytes(n, slots, genie=genie)
-    if per_trial > TRIAL_BYTES_CEILING:
-        raise ResourceLimitError(
-            f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
-            f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
-    return slots
+    return _require_trial_bytes(n, fault, genie)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,49 @@ def test_benchmark_simulations_run_as_one_chunk(workload, perfbench, monkeypatch
     (command,) = perfbench[0].build(workload, 0).commands
     assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0
     assert chunks == [(0, command.params["trials"])]
+
+
+@pytest.mark.parametrize("workload", ["sim-shared", "sim-tree-genie"])
+def test_tracer_reads_the_chunk_and_decoder_arguments_it_counts(workload, perfbench,
+                                                                monkeypatch, tmp_path):
+    # perfbench/tracer.py reads arguments 1-3 of _run_chunk (start, stop,
+    # slots) and 0, 3 and 6 of _decode_batch (the channel-erasure mask, the
+    # mode and the fault hit plane) by position; a shifted argument would
+    # change montecarlo.fault_table_mib, codec.decode_msgs and
+    # codec.fault_slots without failing anything else
+    from faultypolar import montecarlo
+    from faultypolar.cli import main
+    from faultypolar.codec import fault_slot_count
+
+    chunks, decodes = [], []
+    run_chunk, decode = montecarlo._run_chunk, montecarlo._decode_batch
+
+    def recording_chunk(*args, **kwargs):
+        chunks.append(args)
+        return run_chunk(*args, **kwargs)
+
+    def recording_decode(*args, **kwargs):
+        fault = args[2]
+        decodes.append((args[0].dtype, args[0].shape, args[3], fault,
+                        None if args[6] is None else args[6].shape[0]))
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", recording_chunk)
+    monkeypatch.setattr(montecarlo, "_decode_batch", recording_decode)
+    (command,) = perfbench[0].build(workload, 0).commands
+    assert main([*command.argv, "--out-dir", str(tmp_path)]) == 0
+    n, trials = command.params["n"], command.params["trials"]
+    (chunk,) = chunks
+    fault = chunk[0].fault
+    slots = fault_slot_count(n, fault)
+    assert slots > 0
+    assert chunk[1:4] == (0, trials, slots)
+    (call,) = decodes
+    assert call[:2] == (np.dtype(bool), (trials, 2**n))
+    assert call[2] == fault.correlation_mode
+    assert call[2].replace("_", "-") == command.argv[command.argv.index("--mode") + 1]
+    assert call[3] is fault
+    assert call[4] == slots
 
 
 def test_design_commands_peak_at_one_buffer_of_their_largest_n(perfbench, tmp_path):

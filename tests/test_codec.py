@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from enum import IntEnum
 
 import numpy as np
@@ -18,7 +19,7 @@ from faultypolar import (
     transmit_bec,
 )
 from faultypolar import codec
-from faultypolar.codec import _decode_batch, _pack_frames, fault_slot_count
+from faultypolar.codec import _decode_batch, _pack_frames, _trial_bytes, fault_slot_count
 
 
 class TernaryLLR(IntEnum):
@@ -230,7 +231,8 @@ def test_round_trip_random_n1024():
     u = np.zeros((1000, 1024), np.int8)
     u[:, info0] = rng.integers(0, 2, size=(1000, 512), dtype=np.int8)
     y = (1 - 2 * encode(u)).astype(np.int8)
-    planes = _decode_dense(y == 0, code.frozen_mask, FaultSpec(), "shared", False, y < 0, None)
+    planes = _decode_dense(y == 0, code.frozen_mask, FaultSpec(correlation_mode="shared"),
+                           "shared", False, y < 0, None)
     u_hat, erased = _decided(planes, 1000, code.frozen_mask)
     assert not erased.any()
     assert np.array_equal(u_hat, u)
@@ -341,15 +343,16 @@ def test_genie_per_bit_statistics_match_reliabilities():
 
 
 def test_fault_slot_counts():
-    fault = FaultSpec(delta=0.1)
-    assert fault_slot_count(3, fault, "shared") == 8 * 3
-    assert fault_slot_count(3, fault, "independent_tree") == 8 * 7
-    assert fault_slot_count(3, FaultSpec(delta=0.0), "shared") == 0
-    assert fault_slot_count(3, FaultSpec(delta=0.1, unprotected_steps=0),
-                            "independent_tree") == 0
-    part = FaultSpec(delta=0.1, unprotected_steps=2)
-    assert fault_slot_count(3, part, "shared") == 8 * 2
-    assert fault_slot_count(3, part, "independent_tree") == 8 * (8 - 2)
+    # the mode is the fault's own correlation_mode
+    shared, tree = "shared", "independent_tree"
+    assert fault_slot_count(3, FaultSpec(delta=0.1, correlation_mode=shared)) == 8 * 3
+    assert fault_slot_count(3, FaultSpec(delta=0.1, correlation_mode=tree)) == 8 * 7
+    assert fault_slot_count(3, FaultSpec(delta=0.1)) == 8 * 7  # independent_tree by default
+    assert fault_slot_count(3, FaultSpec(delta=0.0, correlation_mode=shared)) == 0
+    assert fault_slot_count(3, FaultSpec(delta=0.1, unprotected_steps=0)) == 0
+    part = FaultSpec(delta=0.1, unprotected_steps=2, correlation_mode=shared)
+    assert fault_slot_count(3, part) == 8 * 2
+    assert fault_slot_count(3, replace(part, correlation_mode=tree)) == 8 * (8 - 2)
 
 
 def test_sc_decode_validation():
@@ -386,39 +389,57 @@ def test_sc_decode_hit_blocks_continue_one_stream(monkeypatch, mode):
         assert np.array_equal(other.decision_erased, results[0].decision_erased)
 
 
-def test_sc_decode_holds_one_byte_per_fault_slot():
-    n = 10
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("n", [14, 15])
+def test_sc_decode_refuses_a_frame_over_the_trial_ceiling(n, genie):
+    # independent_tree with every step faulty: one trial counts N * (N - 1)
+    # bytes of hits plus the decoder planes, over 256 MiB from n = 14 on
+    # (1 GiB of hits alone at n = 15), so the decode is refused before
+    # anything is allocated or drawn, as simulate --trials 1 is
     fault = FaultSpec(delta=1e-3)
-    slots = fault_slot_count(n, fault, fault.correlation_mode)
-    assert slots == 1_047_552  # independent_tree: N * (N - 1)
     code, y, rng = _received_frame(n, fault)
-    tracemalloc.start()
-    try:
-        sc_decode(y, code, fault, rng=rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= slots + 2**20
-
-
-def test_sc_decode_refuses_a_hit_column_over_the_trial_ceiling():
-    # independent_tree at n = 15 would hold N * (N - 1) bytes of hits, 1 GiB:
-    # refused before anything is allocated or drawn; n = 12 (16 MiB) decodes
-    fault = FaultSpec(delta=1e-3)
-    code, y, rng = _received_frame(15, fault)
-    assert fault_slot_count(15, fault, fault.correlation_mode) > codec.TRIAL_BYTES_CEILING
+    slots = fault_slot_count(n, fault)
+    assert _trial_bytes(n, slots, genie=genie) > codec.TRIAL_BYTES_CEILING
+    true_u = np.zeros(code.N, np.int8) if genie else None
     state = rng.bit_generator.state
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="per-trial ceiling"):
-            sc_decode(y, code, fault, rng=rng)
+            sc_decode(y, code, fault, rng=rng, genie=genie, true_u=true_u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert rng.bit_generator.state == state
-    code, y, rng = _received_frame(12, fault)
-    assert sc_decode(y, code, fault, rng=rng).u_hat.shape == (code.k,)
+
+
+# (n, mode, nu, genie): every mode, protection and genie setting at small
+# n, and independent_tree decodes of 1 and 16 MiB of hits, a byte per
+# fault slot (N * (N - 1) of them), which fill the count
+_PEAK_GRID = [*itertools.product((2, 5, 8), ("shared", "independent_tree"), (None, 1, 0),
+                                 (False, True)),
+              (10, "shared", None, False), (10, "independent_tree", None, False),
+              (12, "independent_tree", None, False), (12, "independent_tree", None, True)]
+
+
+@pytest.mark.parametrize("n, mode, nu, genie", _PEAK_GRID)
+def test_sc_decode_peak_within_the_trial_count(n, mode, nu, genie):
+    # the count that admits a decode bounds what it allocates, with the
+    # fixed scratch a simulation chunk is allowed (a block of uniforms and
+    # the packing buffers, 64 KiB each)
+    fixed_scratch = 3 * 2**16
+    fault = FaultSpec(delta=1e-3, unprotected_steps=nu, correlation_mode=mode)
+    code, y, rng = _received_frame(n, fault)
+    true_u = np.zeros(code.N, np.int8) if genie else None
+    sc_decode(y, code, fault, rng=rng, genie=genie, true_u=true_u)  # warm caches
+    tracemalloc.start()
+    try:
+        result = sc_decode(y, code, fault, rng=rng, genie=genie, true_u=true_u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.u_hat.shape == (code.k,)
+    assert peak <= _trial_bytes(n, fault_slot_count(n, fault), genie=genie) + fixed_scratch
 
 
 def test_sc_decode_genie_rejects_an_inconsistent_frame():
@@ -531,13 +552,13 @@ def test_decode_batch_matches_reference(n, mode):
     rng = np.random.default_rng(100 + n)
     batches = itertools.cycle((1, 7, 8, 9, 65))
     for genie, (delta, steps) in itertools.product((False, True), _FAULT_GRID):
-        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
         batch = next(batches)
         frozen_mask = rng.random(1 << n) < 0.5
         u, y = _random_batch(rng, n, batch, frozen_mask, rng.uniform(0.1, 0.6))
         true_u = u.copy()
         true_u[:, frozen_mask] = rng.integers(0, 2, (batch, int(frozen_mask.sum())))
-        slots = fault_slot_count(n, fault, mode)
+        slots = fault_slot_count(n, fault)
         hits = rng.random((batch, slots)) < delta if slots else None
         planes = _decode_dense(y == 0, frozen_mask, fault, mode, genie, encode(u), hits)
         u_hat, erased = _decided(planes, batch, frozen_mask, u)
@@ -556,11 +577,11 @@ def test_genie_erasures_do_not_depend_on_the_codeword(n, mode):
     rng = np.random.default_rng(200 + n)
     batches = itertools.cycle((1, 7, 8, 9, 65))
     for delta, steps in _FAULT_GRID:
-        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
         batch = next(batches)
         frozen_mask = rng.random(1 << n) < 0.5
         u, y = _random_batch(rng, n, batch, frozen_mask, rng.uniform(0.1, 0.6))
-        slots = fault_slot_count(n, fault, mode)
+        slots = fault_slot_count(n, fault)
         hits = rng.random((batch, slots)) < delta if slots else None
         blind = _decode_dense(y == 0, frozen_mask, fault, mode, True, None, hits)
         told = _decode_dense(y == 0, frozen_mask, fault, mode, True, encode(u), hits)
@@ -580,11 +601,11 @@ def test_erased_feedback_cancels_opposing_infinities(mode):
     # 0 is fed forward. For u = (1, 0) the channel says y = (-inf, +inf), and
     # the g node sums +inf and (-1)**0 * -inf: opposing infinities cancel to
     # an erasure instead of a wrong bit. For u = (0, 0) they agree.
-    fault = FaultSpec(delta=0.5)
+    fault = FaultSpec(delta=0.5, correlation_mode=mode)
     frozen_mask = np.zeros(2, dtype=bool)
     y = np.array([[-1, 1], [1, 1]], dtype=np.int8)
     hits = np.array([[True, False], [True, False]])
-    assert fault_slot_count(1, fault, mode) == 2
+    assert fault_slot_count(1, fault) == 2
     planes = _decode_dense(y == 0, frozen_mask, fault, mode, False, y < 0, hits)
     u_hat, erased = _decided(planes, 2, frozen_mask)
     assert u_hat.tolist() == [[ERASED_BIT, ERASED_BIT], [ERASED_BIT, 0]]
@@ -602,10 +623,10 @@ def test_erased_feedback_cancels_opposing_infinities(mode):
 def test_decode_batch_rows_independent_of_batching(mode, genie):
     rng = np.random.default_rng(11)
     n, batch = 6, 19
-    fault = FaultSpec(delta=0.05)
+    fault = FaultSpec(delta=0.05, correlation_mode=mode)
     frozen_mask = rng.random(1 << n) < 0.5
     u, y = _random_batch(rng, n, batch, frozen_mask, 0.4)
-    hits = rng.random((batch, fault_slot_count(n, fault, mode))) < fault.delta
+    hits = rng.random((batch, fault_slot_count(n, fault))) < fault.delta
     together = _decided(_decode_dense(y == 0, frozen_mask, fault, mode, genie, encode(u), hits),
                         batch, frozen_mask, u)
     for row in range(batch):
@@ -625,10 +646,10 @@ def test_hit_plane_of_another_height_is_refused_before_decoding(monkeypatch, mod
     # one row long is refused before the channel is even packed
     rng = np.random.default_rng(13)
     n, batch = 4, 9
-    fault = FaultSpec(delta=0.05, unprotected_steps=2)
+    fault = FaultSpec(delta=0.05, unprotected_steps=2, correlation_mode=mode)
     frozen_mask = rng.random(1 << n) < 0.5
     u, y = _random_batch(rng, n, batch, frozen_mask, 0.3)
-    slots = fault_slot_count(n, fault, mode)
+    slots = fault_slot_count(n, fault)
     hits = _pack_frames(rng.random((batch, slots + extra)) < fault.delta)
     codeword = _pack_frames(encode(u))
 
@@ -637,6 +658,10 @@ def test_hit_plane_of_another_height_is_refused_before_decoding(monkeypatch, mod
     monkeypatch.setattr(codec, "_pack_frames", decoding)
     with pytest.raises(InternalInvariantError, match="fault hit plane"):
         _decode_batch(y == 0, frozen_mask, fault, mode, genie, codeword, hits)
+    # the mode is the fault's; any other is refused first
+    other = "shared" if mode == "independent_tree" else "independent_tree"
+    with pytest.raises(InternalInvariantError, match="not the fault's"):
+        _decode_batch(y == 0, frozen_mask, fault, other, genie, codeword, hits)
 
 
 def _packed_counts(erased_plane, info, batch):
@@ -659,7 +684,7 @@ def _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, case, genie=
     """Skipping the nodes that feed only frozen decisions changes no
     information decision, frame count or bit count."""
     u, y = _random_batch(rng, n, batch, ~info, 0.3)
-    hits = _hit_rows(rng, batch, fault_slot_count(n, fault, mode), fault.delta)
+    hits = _hit_rows(rng, batch, fault_slot_count(n, fault), fault.delta)
     args = (y == 0, ~info, fault, mode, genie, encode(u), hits)
     full = _decode_dense(*args)
     skipped = _decode_dense(*args, info_only=True)
@@ -720,10 +745,10 @@ def test_compact_levels_match_reference_after_rate0_blocks(n):
     # runs: nu = n is nu = None, and delta = 0 or nu = 0 draws no hits
     runs = [(0.0, None), (0.05, 0), *itertools.product((0.05, 1.0), (None, 1))]
     for genie, (delta, steps) in itertools.product((False, True), runs):
-        fault = FaultSpec(delta=delta, unprotected_steps=steps)
+        fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode="shared")
         batch = next(batches)
         u, y = _random_batch(rng, n, batch, frozen_mask, 0.3)
-        hits = _hit_rows(rng, batch, fault_slot_count(n, fault, "shared"), delta)
+        hits = _hit_rows(rng, batch, fault_slot_count(n, fault), delta)
         planes = _decode_dense(y == 0, frozen_mask, fault, "shared", genie, encode(u), hits)
         u_hat, erased = _decided(planes, batch, frozen_mask, u)
         for row in range(batch):

@@ -389,7 +389,7 @@ def test_protection_convention_agrees_everywhere(n, mode):
             for ordered in (True, False):
                 *_, ref = _reference_levels(np.array([p]), n, delta, steps, ordered)
                 assert evolve_all(n, p, fault, ordered).tobytes() == ref.tobytes()
-            slots = fault_slot_count(n, fault, mode)
+            slots = fault_slot_count(n, fault)
             assert slots == _schedule_hit_rows(n, steps, mode), (fault, steps)
             # p = 0 and every hit set: the faulted levels erase all below them
             for genie in (False, True):

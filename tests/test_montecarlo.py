@@ -1,5 +1,6 @@
 """Simulation harness: determinism, statistical bounds, resource limits."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from faultypolar import (
+    ERASED_BIT,
     CodeConstruction,
     FaultSpec,
     ProxyComparison,
@@ -23,14 +25,15 @@ from faultypolar import (
     construct_code,
     encode,
     run_simulation,
+    sc_decode,
+    transmit_bec,
 )
-from faultypolar import cli, montecarlo
-from faultypolar.codec import _pack_frames, fault_slot_count
+from faultypolar import cli, codec, montecarlo
+from faultypolar.codec import TRIAL_BYTES_CEILING, _pack_frames, fault_slot_count
 from faultypolar.montecarlo import (
     ROLE_CHANNEL,
     ROLE_FAULTS,
     ROLE_SOURCE,
-    TRIAL_BYTES_CEILING,
     TRIALS_HARD_CAP,
     _chunk_trials,
     _draw_mask,
@@ -321,7 +324,7 @@ def test_fault_row_longer_than_draw_block(monkeypatch):
     # draws
     config = _config(n=7, k=32, p=0.4, delta=0.05, trials=3, seed=2**64 - 1,
                      mode="independent_tree", genie=True)
-    slots = fault_slot_count(7, config.fault, config.fault.correlation_mode)
+    slots = fault_slot_count(7, config.fault)
     assert slots > montecarlo._DRAW_BLOCK
     seen = []
     decode = montecarlo._decode_batch
@@ -353,7 +356,7 @@ def test_planes_handed_to_the_decoder_pack_the_dense_draws(monkeypatch, block, b
     seed, start = 2**64 - 1, 5
     config = _config(n=n, k=2**n // 2, p=0.4, delta=delta, trials=start + batch,
                      seed=seed, mode=mode, genie=genie)
-    slots = fault_slot_count(n, config.fault, mode)
+    slots = fault_slot_count(n, config.fault)
     seen = []
     decode = montecarlo._decode_batch
 
@@ -394,6 +397,37 @@ def test_outcome_independent_of_draw_block(monkeypatch):
     assert np.array_equal(small.per_bit_erasures, base.per_bit_erasures)
 
 
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("nu", [None, 2])
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_simulation_counts_the_frames_sc_decode_decodes(mode, nu, genie):
+    # one frame model behind both front ends: trial t of a run is sc_decode
+    # of its source word, sent through its channel stream, with its fault
+    # stream; 13 trials leave the last group of eight partial
+    seed, trials, p = 11, 13, 0.35
+    config = _config(n=6, k=32, p=p, delta=2e-3, trials=trials, seed=seed, mode=mode,
+                     genie=genie, n_u=nu)
+    code, fault = config.code, config.fault
+    frames = bits = 0
+    per_bit = np.zeros(code.N, dtype=np.int64)
+    for t in range(trials):
+        u = np.zeros(code.N, dtype=np.int8)
+        if not genie:  # a genie run draws no source word
+            u[code.info_indices - 1] = substream(seed, t, ROLE_SOURCE).integers(
+                0, 2, code.k, dtype=np.int8)
+        y = transmit_bec(encode(u), p, substream(seed, t, ROLE_CHANNEL))
+        result = sc_decode(y, code, fault, rng=substream(seed, t, ROLE_FAULTS),
+                           genie=genie, true_u=u if genie else None)
+        frames += result.frame_erased
+        bits += int((result.u_hat == ERASED_BIT).sum())
+        per_bit += result.decision_erased
+    outcome = run_simulation(config)
+    assert 0 < outcome.frame_erasures < trials
+    assert (outcome.frame_erasures, outcome.info_bit_erasures) == (frames, bits)
+    if genie:
+        assert np.array_equal(outcome.per_bit_erasures, per_bit)
+
+
 def _refuse_chunks(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("_run_chunk called for an over-budget trial")
@@ -406,6 +440,32 @@ def test_trial_memory_ceiling_refused_before_allocating(monkeypatch):
     config = _config(n=16, k=2**14, delta=1e-3, trials=1, mode="independent_tree")
     with pytest.raises(ResourceLimitError):
         run_simulation(config)
+
+
+def test_sc_decode_refuses_what_a_lone_trial_refuses(monkeypatch):
+    # one per-trial rule: under a 2 KiB ceiling, set where the rule reads
+    # it, sc_decode refuses exactly the frames simulate --trials 1 refuses
+    monkeypatch.setattr(codec, "TRIAL_BYTES_CEILING", 2**11)
+    refused = {}
+    for n, mode, nu, genie in itertools.product((4, 5, 6), ("shared", "independent_tree"),
+                                                (None, 1, 0), (False, True)):
+        config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=1, mode=mode,
+                         genie=genie, n_u=nu)
+        word = np.zeros(2**n, dtype=np.int8)
+        y = transmit_bec(word, 0.4, np.random.default_rng(n))
+        outcomes = []
+        for front_end in (
+                lambda: run_simulation(config),
+                lambda: sc_decode(y, config.code, config.fault, rng=np.random.default_rng(0),
+                                  genie=genie, true_u=word if genie else None)):
+            try:
+                front_end()
+                outcomes.append(False)
+            except ResourceLimitError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], (n, mode, nu, genie)
+        refused[n, mode, nu, genie] = outcomes[0]
+    assert any(refused.values()) and not all(refused.values())
 
 
 def test_cli_trial_memory_ceiling_exits_3(monkeypatch, tmp_path):
@@ -433,18 +493,18 @@ def test_trial_bytes_admit_the_documented_sizes():
     # lanes at 19 bytes per position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
-    slots = fault_slot_count(8, tree, "independent_tree")
+    slots = fault_slot_count(8, tree)
     assert _trial_bytes(8, slots) == slots + (1 + 7 + 19) * 256 + 128
     assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 19) * 1024 + 512
     for n in range(1, 14):
-        slots = fault_slot_count(n, tree, "independent_tree")
+        slots = fault_slot_count(n, tree)
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
     for n in range(1, 23):
-        slots = fault_slot_count(n, shared, "shared")
+        slots = fault_slot_count(n, shared)
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
-    slots = fault_slot_count(14, tree, "independent_tree")
+    slots = fault_slot_count(14, tree)
     assert _trial_bytes(14, slots) > TRIAL_BYTES_CEILING
-    slots = fault_slot_count(23, shared, "shared")
+    slots = fault_slot_count(23, shared)
     assert _trial_bytes(23, slots) > TRIAL_BYTES_CEILING
 
 
@@ -453,7 +513,7 @@ def test_lone_trial_pays_a_whole_packed_group():
     # allocates its packed planes at N bytes a row: 198 MiB in all, of
     # which 30 MiB are the planes
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
-    slots = fault_slot_count(22, shared, "shared")
+    slots = fault_slot_count(22, shared)
     assert _trial_bytes(22, slots) == 198 * 2**20 <= TRIAL_BYTES_CEILING
     assert _trial_bytes(22, slots) - _trial_bytes(22, slots, batch=0) == (
         4 + 88 + 30) * 2**20
@@ -470,7 +530,7 @@ def test_trial_bytes_bound_what_a_chunk_allocates(n, mode, genie, batch):
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=batch, mode=mode,
                      genie=genie)
-    slots = fault_slot_count(n, config.fault, config.fault.correlation_mode)
+    slots = fault_slot_count(n, config.fault)
     _run_chunk(config, 0, batch, slots)  # warm caches outside the measurement
     tracemalloc.start()
     try:
@@ -500,7 +560,7 @@ def test_trial_bytes_count_what_a_chunk_allocates(mode, genie, delta, nu, n, bat
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=2**n // 2, p=0.4, delta=delta, trials=5 + batch, mode=mode,
                      genie=genie, n_u=nu)
-    slots = fault_slot_count(n, config.fault, mode)
+    slots = fault_slot_count(n, config.fault)
     _run_chunk(config, 5, 5 + batch, slots)  # warm caches outside the measurement
     tracemalloc.start()
     try:
@@ -530,17 +590,17 @@ def test_default_chunks_never_shrink(mode, largest, genie):
     for delta in (0.0, 1e-3):
         fault = FaultSpec(delta=delta, correlation_mode=mode)
         for n in range(1, largest + 1):
-            slots = fault_slot_count(n, fault, mode)
+            slots = fault_slot_count(n, fault)
             before = _chunk_trials_before(n, slots, genie)
             assert _chunk_trials(n, slots, genie) >= before, (delta, n)
 
 
 def test_default_chunks_pay_the_chunk_term_once():
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
-    sizes = {n: _chunk_trials(n, fault_slot_count(n, shared, "shared"), False)
+    sizes = {n: _chunk_trials(n, fault_slot_count(n, shared), False)
              for n in (12, 14)}
     assert sizes == {12: 4760, 14: 1104}  # 1648 and 368 before
-    assert _chunk_trials(14, fault_slot_count(14, shared, "shared"), True) == 1304
+    assert _chunk_trials(14, fault_slot_count(14, shared), True) == 1304
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
@@ -548,7 +608,7 @@ def test_default_chunks_share_the_budget_between_threads(threads):
     # the chunks that `threads` workers hold at once fit _CHUNK_BYTES together
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     for n in (8, 10, 12, 14):
-        slots = fault_slot_count(n, shared, "shared")
+        slots = fault_slot_count(n, shared)
         for genie in (False, True):
             trials = _chunk_trials(n, slots, genie, threads)
             assert trials <= _chunk_trials(n, slots, genie)
@@ -565,7 +625,7 @@ def test_two_threads_peak_within_the_chunk_budget(monkeypatch):
     fixed_scratch = 4 * 2**16
     n = 10
     config = _config(n=n, k=410, p=0.3, delta=1e-3, trials=1, mode="shared")
-    slots = fault_slot_count(n, config.fault, "shared")
+    slots = fault_slot_count(n, config.fault)
     trials = 4 * _chunk_trials(n, slots, False, 2)
     config = replace(config, trials=trials)
     assert _trial_bytes(n, slots, _chunk_trials(n, slots, False)) > montecarlo._CHUNK_BYTES / 2
@@ -588,10 +648,10 @@ def test_genie_trial_bytes_admit_the_same_sizes():
     for mode, largest in (("independent_tree", 13), ("shared", 22)):
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
-            slots = fault_slot_count(n, fault, mode)
+            slots = fault_slot_count(n, fault)
             admitted = _trial_bytes(n, slots, genie=True) <= TRIAL_BYTES_CEILING
             assert admitted == (n <= largest), (mode, n)
-    slots = fault_slot_count(22, FaultSpec(delta=1e-3, correlation_mode="shared"), "shared")
+    slots = fault_slot_count(22, FaultSpec(delta=1e-3, correlation_mode="shared"))
     assert _trial_bytes(22, slots, genie=True) == 144 * 2**20
 
 
@@ -604,7 +664,7 @@ def test_genie_trial_bytes_bound_what_a_chunk_allocates(n, mode, batch, k):
     # partial sums; k = N - 1 selects the most information rows
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=k, p=0.4, delta=0.01, trials=batch, mode=mode, genie=True)
-    slots = fault_slot_count(n, config.fault, config.fault.correlation_mode)
+    slots = fault_slot_count(n, config.fault)
     _run_chunk(config, 0, batch, slots)
     tracemalloc.start()
     try:
@@ -628,7 +688,7 @@ def test_trial_bytes_bound_a_chunk_without_fault_slots(n, mode, genie, batch, k)
     # fixed scratch, and it may not overstate the peak by more than a tenth
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=k, p=0.4, delta=0.0, trials=batch, mode=mode, genie=genie)
-    assert fault_slot_count(n, config.fault, mode) == 0
+    assert fault_slot_count(n, config.fault) == 0
     _run_chunk(config, 0, batch, 0)
     tracemalloc.start()
     try:
@@ -653,7 +713,7 @@ def test_trial_bytes_bound_a_chunk_with_fault_slots(n, mode, genie, batch):
     fixed_scratch = 4 * 2**16
     config = _config(n=n, k=2**n // 2, p=0.4, delta=0.01, trials=batch, mode=mode,
                      genie=genie)
-    slots = fault_slot_count(n, config.fault, mode)
+    slots = fault_slot_count(n, config.fault)
     _run_chunk(config, 0, batch, slots)
     tracemalloc.start()
     try:
@@ -747,7 +807,7 @@ def test_threads_capped_at_the_cores(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2**20)  # small chunks at n = 10
     n = 10
     config = _config(n=n, k=410, p=0.3, delta=1e-3, trials=400, seed=2, mode="shared")
-    slots = fault_slot_count(n, config.fault, "shared")
+    slots = fault_slot_count(n, config.fault)
     assert _chunk_trials(n, slots, False, 5000) == 1
     two = _chunk_trials(n, slots, False, 2)
     assert two < _chunk_trials(n, slots, False) < config.trials

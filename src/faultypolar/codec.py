@@ -25,10 +25,11 @@ schedule fixes each message's fault hits by offset: a bit's hits follow
 those of the bits before it, its top level first, so a level-L node of a
 bit that recomputes from level top reads 2**L hit rows at offset
 2**(top+1) - 2**(L+1) within the bit. A caller that reads the information
-decisions alone says so (info_only), and the decoder skips every node
-that feeds only frozen decisions; a skipped node reads no hits, and the
-others read theirs at the same rows. Non-genie simulations read the
-information decisions alone; genie runs and sc_decode read them all.
+decisions alone says so (info_only), and each bit stops at the lowest
+level one of them depends on, set by the next information bit; the
+levels below read no hits, the others theirs at the same rows. Non-genie
+simulations read the information decisions alone; genie runs and
+sc_decode read them all.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ def _polar_transform(planes: np.ndarray) -> None:
 # Memory one trial may allocate, as _trial_bytes counts it: the one rule of
 # a simulation trial (montecarlo._require_limits) and of sc_decode, which
 # both apply it through _require_trial_bytes. With every step faulty it
-# admits independent_tree up to n = 13 and shared up to n = 22, with or
-# without the genie; independent_tree from n = 15 on whenever a step is
-# faulty, and n = 24 without the genie, are refused.
+# admits independent_tree up to n = 13 and shared up to n = 22 (190 MiB,
+# 140 MiB with the genie); independent_tree from n = 15 on whenever a step
+# is faulty, and n = 24 without the genie, are refused.
 TRIAL_BYTES_CEILING = 256 * 2**20
 
 
@@ -203,19 +204,17 @@ def _trial_bytes(n: int, slots: int, batch: int = 1, genie: bool = False) -> int
     channel; without the genie each of those twice (E and S, the codeword
     being the channel's S), N - 1 rows of partial sums and a half-height
     g-node scratch. That is at most 7.5 N, or 3 N with the genie. Per
-    chunk (batch = 0 gives it alone), 10 bytes per position: the int64
-    information positions, the bool mask they are found from and the
-    decoder's, which a genie decode does not build; without the genie, 9
-    more for that mask's block pyramid, which the rate-0 skip reads, and
-    the eight lanes of source bits. Fixed scratch
+    chunk (batch = 0 gives it alone), 9 bytes per position: the int64
+    information positions and the bool mask they are found from; without
+    the genie, 8 more for the eight lanes of source bits. Fixed scratch
     (the eight lanes of fault hits, a block of raw words and the packing
     buffers, 64 KiB each) is not counted.
     """
     size = 1 << n
     if genie:
-        packed, chunk = 3 * size, 10 * size
+        packed, chunk = 3 * size, 9 * size
     else:
-        packed, chunk = 7 * size + size // 2, 19 * size
+        packed, chunk = 7 * size + size // 2, 17 * size
     return batch * size + -(-batch // 8) * (slots + packed) + chunk
 
 
@@ -230,14 +229,6 @@ def _require_trial_bytes(n: int, fault: FaultSpec, genie: bool) -> int:
             f"one trial needs {per_trial} bytes ({slots} fault slots plus decoder "
             f"planes), over the per-trial ceiling {TRIAL_BYTES_CEILING}")
     return slots
-
-
-def _block_any(leaves: np.ndarray, n: int) -> list[np.ndarray]:
-    """levels[L][b]: some leaf of the level-L block b (leaves b << L on) is set."""
-    levels = [leaves]
-    for _ in range(n):
-        levels.append(levels[-1].reshape(-1, 2).any(axis=1))
-    return levels
 
 
 def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
@@ -277,15 +268,19 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     matter how frames are grouped into batches. A plane of any other row
     count raises InternalInvariantError before anything is decoded.
 
-    With info_only the caller reads the information decisions alone, and
-    a node is evaluated only when one of them depends on it; frozen
-    decisions feed 0 forward whatever they are. In shared mode a level-L
-    block feeds the decisions of its own rows, so it is skipped when they
-    hold no information bit (a rate-0 subtree of simplified SC), and so
-    are its descendants. In independent_tree mode each bit's path feeds
-    its own decision alone, so a frozen bit skips every level. A skipped
-    node reads no hits, and the others read their own rows, so every
-    decision that is evaluated is that of the full decode.
+    Bit i evaluates its levels top down to lowest, top - lowest + 1
+    nodes, and lowest is 0 unless info_only: then the caller reads the
+    information decisions alone, frozen decisions feed 0 forward whatever
+    they are, and bit i stops at the lowest level one of them depends on.
+    Let j be the first information bit from i on (N if none), which one
+    pointer finds in a single walk over frozen_mask. In shared mode bit
+    i's level-L block, rows i on, feeds the decisions of its own rows, so
+    lowest = (j - i).bit_length() and the blocks below are rate-0
+    subtrees of simplified SC. In independent_tree mode each bit's path
+    feeds its own decision alone: lowest is 0 for an information bit and
+    n (no level) for a frozen one, j != i. A skipped node reads no hits,
+    and the others read their own rows, so every decision that is
+    evaluated is that of the full decode.
 
     The kernel works on packed bit planes of shape (rows, ceil(B/8))
     uint8, positions-major: bit k of byte j in row i belongs to frame
@@ -343,8 +338,6 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
     if signs:
         sums = [planes(1 << level) for level in range(n)]
         scratch = planes(size // 2)
-    if info_only:
-        has_info = _block_any(~frozen_mask, n)
     msgs = [tuple(planes(1 << level if level else size) for _ in channel)
             for level in range(n)] + [channel]
     decision = msgs[0]
@@ -380,12 +373,19 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
             np.bitwise_or(out_e, fault_hits[row:row + width], out=out_e)
 
     base = 0  # the first hit row of bit i0
+    info = -1  # the first information bit from i0 on, size when there is none
     for i0 in range(size):
+        if info < i0:
+            info = i0
+            while info < size and frozen_mask[info]:
+                info += 1
         top = n - 1 if recompute_all or i0 == 0 else (i0 & -i0).bit_length() - 1
-        for level in range(top, -1, -1):
-            if not info_only or (has_info[0][i0] if recompute_all
-                                 else has_info[level][i0 >> level]):
-                node(level, i0, base + (2 << top) - (2 << level))
+        if not info_only or info == i0:
+            lowest = 0
+        else:
+            lowest = n if recompute_all else (info - i0).bit_length()
+        for level in range(top, lowest - 1, -1):
+            node(level, i0, base + (2 << top) - (2 << level))
         if top >= lo:
             base += (2 << top) - (1 << lo)
 
@@ -395,7 +395,7 @@ def _decode_batch(erased: np.ndarray, frozen_mask: np.ndarray, fault: FaultSpec,
         t = end.bit_length() - 1
         acc = sums[t]  # the level-t block is a left one: build its sums
         row = acc[end - 1]
-        if frozen_mask[i0]:
+        if info != i0:  # a frozen bit
             row.fill(0)
         else:
             # continuation convention: an erased decision feeds 0 forward

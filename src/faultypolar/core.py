@@ -26,7 +26,7 @@ def _require_unit_interval(value, name):
 
 
 def _require_integer(value, name):
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 

@@ -241,8 +241,9 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     bytes. The source plane is positions-major, and the polar transform
     turns it into the codeword plane in place. The hit plane is
     group-major, so a group's hits are one contiguous run; the decoder
-    reads its transpose. Each lane owns a fault generator, rewound once per
-    group and drawn block by block, so no (B, slots) array is built.
+    reads its transpose. Each lane owns a fault generator, rewound to its
+    trial in the one loop that rewinds the trial's source and channel
+    generators, and drawn block by block, so no (B, slots) array is built.
     """
     code = config.code
     size = code.N
@@ -272,7 +273,7 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
     for group, first in enumerate(range(start, stop, 8)):
         width = min(8, stop - first)
         for lane, trial in enumerate(range(first, first + width)):
-            for bitgen, state in states:
+            for bitgen, state in (*states, *lanes[lane:lane + 1]):
                 state["state"]["counter"][1] = trial
                 bitgen.state = state
             if source is not None:
@@ -281,9 +282,6 @@ def _run_chunk(config: SimConfig, start: int, stop: int, slots: int):
         if source is not None:
             source[width:] = 0  # pad frames send the all-zero word
             codeword[info0, group] = _pack_lanes(source)
-        for lane, (bitgen, state) in enumerate(lanes[:width]):
-            state["state"]["counter"][1] = first + lane
-            bitgen.state = state
         for pos in range(0, slots, _DRAW_BLOCK):
             m = min(_DRAW_BLOCK, slots - pos)
             rows = drawn[:8 * m].reshape(8, m)

@@ -769,3 +769,31 @@ def test_reading_the_information_decisions_after_rate0_blocks_is_exact(n, mode):
         fault = FaultSpec(delta=delta, unprotected_steps=steps, correlation_mode=mode)
         batch = next(batches)
         _assert_reading_info_is_exact(rng, n, mode, info, fault, batch, (delta, steps, batch))
+
+
+def _skip_bound_masks(rng):
+    """(n, information mask) pairs at the edges of the skip's loop bound:
+    every mask at n = 1..3, and at n = 6 and 8 a lone first information
+    bit, a lone last one, and sets with no information bit after N/2."""
+    for n in range(1, 4):
+        size = 1 << n
+        for bits in range(1 << size):
+            yield n, (bits >> np.arange(size)) & 1 == 1
+    for n in (6, 8):
+        size = 1 << n
+        for lone in (0, size - 1):
+            yield n, np.arange(size) == lone
+        for first_half in (rng.random(size // 2) < 0.5, np.ones(size // 2, bool)):
+            yield n, np.concatenate([first_half, np.zeros(size // 2, bool)])
+
+
+@pytest.mark.parametrize("genie", [False, True])
+@pytest.mark.parametrize("mode", ["shared", "independent_tree"])
+def test_reading_the_information_decisions_is_exact_at_every_mask_shape(mode, genie):
+    # each bit stops at a level set by the next information bit: none at
+    # all, the first or the last bit, or none in the second half
+    rng = np.random.default_rng(600)
+    for (n, info), delta in itertools.product(_skip_bound_masks(rng), (0.0, 0.05, 1.0)):
+        fault = FaultSpec(delta=delta, correlation_mode=mode)
+        _assert_reading_info_is_exact(rng, n, mode, info, fault, 9,
+                                      (n, np.flatnonzero(info), delta), genie)

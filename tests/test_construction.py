@@ -445,8 +445,9 @@ def _sim_config(trials, seed=0):
 def test_counts_must_be_integers(call, count, bad):
     call(count)
     call(np.int64(count))
-    # a float is refused, not rounded by a cast or raised from inside numpy
-    for value in (bad, np.float64(bad), "2"):
+    # a float is refused, not rounded by a cast or raised from inside numpy,
+    # and a bool is not taken for 0 or 1
+    for value in (bad, np.float64(bad), "2", True, False):
         with pytest.raises(ValueError, match="must be an integer"):
             call(value)
 

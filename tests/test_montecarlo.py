@@ -489,13 +489,13 @@ def test_cli_memory_error_exits_3(monkeypatch, tmp_path):
 def test_trial_bytes_admit_the_documented_sizes():
     # a lone trial: its bool channel-erasure row, a packed group of eight
     # frames at one byte per fault slot and 7.5 bytes per position for the
-    # packed planes, and the chunk's index array, position masks and source
-    # lanes at 19 bytes per position
+    # packed planes, and the chunk's index array, position mask and source
+    # lanes at 17 bytes per position
     tree = FaultSpec(delta=1e-3, correlation_mode="independent_tree")
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(8, tree)
-    assert _trial_bytes(8, slots) == slots + (1 + 7 + 19) * 256 + 128
-    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 19) * 1024 + 512
+    assert _trial_bytes(8, slots) == slots + (1 + 7 + 17) * 256 + 128
+    assert _trial_bytes(10, 10 * 1024) == 10 * 1024 + (1 + 7 + 17) * 1024 + 512
     for n in range(1, 14):
         slots = fault_slot_count(n, tree)
         assert _trial_bytes(n, slots) <= TRIAL_BYTES_CEILING
@@ -510,11 +510,11 @@ def test_trial_bytes_admit_the_documented_sizes():
 
 def test_lone_trial_pays_a_whole_packed_group():
     # the decoder packs eight frames per byte, so one trial of shared n = 22
-    # allocates its packed planes at N bytes a row: 198 MiB in all, of
+    # allocates its packed planes at N bytes a row: 190 MiB in all, of
     # which 30 MiB are the planes
     shared = FaultSpec(delta=1e-3, correlation_mode="shared")
     slots = fault_slot_count(22, shared)
-    assert _trial_bytes(22, slots) == 198 * 2**20 <= TRIAL_BYTES_CEILING
+    assert _trial_bytes(22, slots) == 190 * 2**20 <= TRIAL_BYTES_CEILING
     assert _trial_bytes(22, slots) - _trial_bytes(22, slots, batch=0) == (
         4 + 88 + 30) * 2**20
 
@@ -644,7 +644,7 @@ def test_two_threads_peak_within_the_chunk_budget(monkeypatch):
 
 def test_genie_trial_bytes_admit_the_same_sizes():
     # genie runs count fewer planes, and they are admitted to the same n:
-    # independent-tree to n = 13, shared to n = 22 (144 MiB)
+    # independent-tree to n = 13, shared to n = 22 (140 MiB)
     for mode, largest in (("independent_tree", 13), ("shared", 22)):
         fault = FaultSpec(delta=1e-3, correlation_mode=mode)
         for n in range(1, largest + 2):
@@ -652,7 +652,7 @@ def test_genie_trial_bytes_admit_the_same_sizes():
             admitted = _trial_bytes(n, slots, genie=True) <= TRIAL_BYTES_CEILING
             assert admitted == (n <= largest), (mode, n)
     slots = fault_slot_count(22, FaultSpec(delta=1e-3, correlation_mode="shared"))
-    assert _trial_bytes(22, slots, genie=True) == 144 * 2**20
+    assert _trial_bytes(22, slots, genie=True) == 140 * 2**20
 
 
 @pytest.mark.parametrize("n, mode, batch, k", [
